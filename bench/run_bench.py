@@ -71,6 +71,8 @@ EXACT_METHODS = ("scv", "cv", "cv_mom")
 # spawn-key branch of the exactness probe's inputs, apart from the chunk indices
 PROBE_KEY = 2**32
 MIN_CHUNKS = 3
+# reps_per_s times each program call at this quantile of its walls in the run
+CALL_QUANTILE = 0.1
 SETUP_REPEATS = 7
 REFERENCE_HEAD = 8
 
@@ -86,7 +88,11 @@ print(repr(time.perf_counter() - t0))
 
 @dataclass
 class Chunk:
-    """One timed unit of work and what it produced."""
+    """One timed unit of work and what it produced.
+
+    `samples` is emptied once the chunk is counted into a `Tally`, except
+    for the first chunk of a run, which the bit-identity reruns compare with.
+    """
 
     seed: int
     wall: float = 0.0
@@ -163,6 +169,40 @@ def run_chunk(workload, seed: int, workers: int, work_dir: Path) -> Chunk:
     return chunk
 
 
+@dataclass
+class Tally:
+    """One ensemble's errors over the chunks counted: what the gate and fail_frac need of them.
+
+    Its size does not depend on the number of chunks, so the peak memory of
+    a run does not grow with its throughput.
+    """
+
+    count: int = 0  # finite errors
+    total: float = 0.0
+    squares: float = 0.0
+    nonfinite: int = 0
+
+    def add(self, errors: np.ndarray) -> None:
+        finite = errors[np.isfinite(errors)]
+        self.count += finite.size
+        self.total += float(finite.sum())
+        self.squares += float(finite @ finite)
+        self.nonfinite += errors.size - finite.size
+
+    def mean_sd(self) -> tuple[float, float]:
+        mean = self.total / self.count
+        return mean, math.sqrt(max(self.squares - self.total * mean, 0.0) / (self.count - 1))
+
+
+def count_chunk(workload, chunk: Chunk, tallies: dict[str, Tally], keep: bool = False) -> None:
+    """Add the chunk's errors to `tallies`, then drop its samples unless `keep`."""
+    if not chunk.error and len(chunk.samples) == len(workload.ensembles):
+        for e, sample in zip(workload.ensembles, chunk.samples):
+            tallies[e.key].add(sample.errors)
+    if not keep:
+        chunk.samples = []
+
+
 def check_samples(workload, samples) -> list[tuple[str, str]]:
     """The chunk returned one ensemble per declared configuration, of the declared size."""
     if len(samples) != len(workload.ensembles):
@@ -178,13 +218,16 @@ def check_samples(workload, samples) -> list[tuple[str, str]]:
 
 
 def timed_pass(workload, seeds, workers: int, work_dir: Path, seconds: float,
+               tallies: dict[str, Tally], traced_tallies: dict[str, Tally],
                setup_times: list[float] | None = None, tracer: spans.Tracer | None = None):
     """Chunks over `seeds` until `seconds` have passed; returns (untraced, traced) chunks.
 
-    With `setup_times`, SETUP_REPEATS set-up samples are taken between
-    chunks, spread evenly over the pass.  With `tracer`, every chunk runs a
-    second time right after, traced.  Either way the samples compared meet
-    the same machine load.
+    Each chunk's errors go to `tallies` as soon as it is checked.  With
+    `setup_times`, SETUP_REPEATS set-up samples are taken between chunks,
+    spread evenly over the pass.  With `tracer`, every chunk runs a second
+    time right after, traced, and must give the same bits; its errors go to
+    `traced_tallies`.  Either way the samples compared meet the same machine
+    load.
     """
     chunks, traced = [], []
     start = time.perf_counter()
@@ -195,49 +238,46 @@ def timed_pass(workload, seeds, workers: int, work_dir: Path, seconds: float,
             setup_times.append(setup_sample(workload.name))
         if len(chunks) >= MIN_CHUNKS and elapsed >= seconds:
             break
-        chunks.append(run_chunk(workload, seed, workers, work_dir))
-        if chunks[-1].error:
-            break
-        if tracer is not None:
+        chunk = run_chunk(workload, seed, workers, work_dir)
+        chunks.append(chunk)
+        if tracer is not None and not chunk.error:
             spans.install(tracer)
             try:
                 traced.append(run_chunk(workload, seed, workers, work_dir))
             finally:
                 tracer.restore()
-            if traced[-1].error:
-                break
+            keys = [e.key for e in workload.ensembles]
+            traced[-1].problems += [(key, f"tracing changed the errors of seed {seed}")
+                                    for key in same_errors(chunk, traced[-1], keys)]
+            count_chunk(workload, traced[-1], traced_tallies)
+        count_chunk(workload, chunk, tallies, keep=len(chunks) == 1)
+        if chunk.error or (traced and traced[-1].error):
+            break
     while setup_times is not None and len(setup_times) < SETUP_REPEATS:
         setup_times.append(setup_sample(workload.name))
     return chunks, traced
 
 
-def best_wall(chunks: list[Chunk]) -> float:
-    """Wall time of one chunk: the sum over its calls of each call's fastest time in the run.
+def chunk_wall(chunks: list[Chunk]) -> float:
+    """Wall time of one chunk: the sum over its calls of each call's CALL_QUANTILE wall in the run.
 
     On a shared virtual machine the same work slows by up to 1.7x in phases
     of seconds to minutes, with the neighbours' load, which moves a median
-    or a low percentile from run to run; the program cannot run faster than
-    its own speed, so the fastest of many short calls tracks that speed.
+    from run to run by more than a low quantile.  A quantile, unlike the
+    fastest call, does not depend on how many calls a run makes, and it
+    moves when a change slows a tenth of the calls or more.
     """
     walls = zip(*(c.call_walls for c in chunks if not c.error))
-    return sum(min(w) for w in walls) or math.inf
+    return sum(float(np.quantile(w, CALL_QUANTILE)) for w in walls) or math.inf
 
 
 def chunk_seeds(master: int):
-    from workloads import derive
+    from workloads import derive_seed
 
     i = 0
     while True:
-        yield derive(master, i)
+        yield derive_seed(master, i)
         i += 1
-
-
-def errors_by_key(workload, chunks) -> dict[str, np.ndarray]:
-    pooled = {}
-    for j, e in enumerate(workload.ensembles):
-        parts = [c.samples[j].errors for c in chunks if len(c.samples) == len(workload.ensembles)]
-        pooled[e.key] = np.concatenate(parts) if parts else np.empty(0)
-    return pooled
 
 
 def same_errors(a: Chunk, b: Chunk, keys) -> list[str]:
@@ -247,11 +287,12 @@ def same_errors(a: Chunk, b: Chunk, keys) -> list[str]:
     return [k for k, x, y in zip(keys, a.samples, b.samples) if x.errors.tobytes() != y.errors.tobytes()]
 
 
-def gate(workload, master: int, chunks: list[Chunk], workers: int, work_dir: Path,
+def gate(workload, master: int, chunks: list[Chunk], traced: list[Chunk],
+         tallies: dict[str, Tally], workers: int, work_dir: Path,
          reference: dict) -> dict[str, list[str]]:
     """Every correctness check; returns the problems found, by ensemble key."""
     import scvquad
-    from workloads import derive
+    from workloads import derive_seed
 
     keys = [e.key for e in workload.ensembles]
     problems: dict[str, list[str]] = {}
@@ -259,7 +300,7 @@ def gate(workload, master: int, chunks: list[Chunk], workers: int, work_dir: Pat
     def fail(key, message):
         problems.setdefault(key, []).append(message)
 
-    for c in chunks:
+    for c in chunks + traced:
         if c.error:
             fail("*", f"chunk {c.seed} raised:\n{c.error}")
         for key, message in c.problems:
@@ -277,13 +318,14 @@ def gate(workload, master: int, chunks: list[Chunk], workers: int, work_dir: Pat
     for key in same_errors(first, split, keys):
         fail(key, f"workers={other} changed the errors of seed {first.seed} (measured: {workers})")
 
-    pooled = errors_by_key(workload, chunks)
     for e in workload.ensembles:
-        errors = pooled[e.key]
-        if e.cfg.method.value not in UNBIASED_METHODS or errors.size < 2:
+        tally = tallies[e.key]
+        if e.cfg.method.value not in UNBIASED_METHODS or tally.count < 2:
             continue
-        sd = e.exact_sd if e.exact_sd is not None else float(errors.std(ddof=1))
-        mean, se = float(errors.mean()), sd / np.sqrt(errors.size)
+        mean, sd = tally.mean_sd()
+        if e.exact_sd is not None:
+            sd = e.exact_sd
+        se = sd / math.sqrt(tally.count)
         if abs(mean) > UNBIASED_SIGMAS * se:
             fail(e.key, f"mean error {mean:.3e} exceeds {UNBIASED_SIGMAS:g} standard errors ({se:.3e})")
 
@@ -293,15 +335,15 @@ def gate(workload, master: int, chunks: list[Chunk], workers: int, work_dir: Pat
         if e.cfg.method.value not in EXACT_METHODS or e.config_key in probed:
             continue
         probed.add(e.config_key)
-        poly = scvquad.random_poly(e.cfg.s, e.d, derive(master, PROBE_KEY, len(probed)))
-        value = scvquad.run(poly, replace(e.cfg, seed=derive(master, PROBE_KEY, len(probed), 1))).value
+        poly = scvquad.random_poly(e.cfg.s, e.d, derive_seed(master, PROBE_KEY, len(probed)))
+        value = scvquad.run(poly, replace(e.cfg, seed=derive_seed(master, PROBE_KEY, len(probed), 1))).value
         if not abs(value - poly.exact_integral) <= EXACTNESS_TOL:
             for other_e in workload.ensembles:
                 if other_e.config_key == e.config_key:
                     fail(other_e.key, f"random polynomial off by {value - poly.exact_integral:.3e}")
 
     # the first chunk of the reference seed, against the stored errors
-    probe = run_chunk(workload, derive(REFERENCE_SEED, 0), workers, work_dir)
+    probe = run_chunk(workload, derive_seed(REFERENCE_SEED, 0), workers, work_dir)
     if probe.error:
         fail("*", f"reference chunk raised:\n{probe.error}")
         return problems
@@ -327,18 +369,14 @@ def summarize(errors) -> dict:
     }
 
 
-def count_failures(workload, chunks, problems) -> tuple[int, int]:
-    """(attempted, failed) replications over the timed chunks."""
-    reps = [e.reps for e in workload.ensembles]
-    attempted = len(chunks) * sum(reps)
+def count_failures(workload, n_chunks: int, tallies, problems) -> tuple[int, int]:
+    """(attempted, failed) replications over `n_chunks` chunks whose errors are in `tallies`."""
+    attempted = n_chunks * sum(e.reps for e in workload.ensembles)
     if "*" in problems:
         return attempted, attempted
     failed = 0
-    for j, e in enumerate(workload.ensembles):
-        if e.key in problems:
-            failed += len(chunks) * e.reps
-        else:
-            failed += sum(int(np.count_nonzero(~np.isfinite(c.samples[j].errors))) for c in chunks)
+    for e in workload.ensembles:
+        failed += n_chunks * e.reps if e.key in problems else sum(t[e.key].nonfinite for t in tallies)
     return attempted, failed
 
 
@@ -399,8 +437,10 @@ def main(argv=None) -> int:
         workload.warm_up()
         setup_times = [] if args.trace == 0 else None
         tracer = spans.Tracer() if args.trace == 1 else None
+        tallies = {e.key: Tally() for e in workload.ensembles}
+        traced_tallies = {e.key: Tally() for e in workload.ensembles}
         chunks, traced = timed_pass(workload, chunk_seeds(args.seed), workers, work_dir,
-                                    args.seconds, setup_times, tracer)
+                                    args.seconds, tallies, traced_tallies, setup_times, tracer)
         if tracer is not None:
             config_keys = sorted({e.config_key for w in WORKLOADS.values() for e in w.ensembles})
             metrics = spans.layer_metrics(
@@ -409,17 +449,13 @@ def main(argv=None) -> int:
                 sum(c.csv_bytes for c in traced), config_keys,
             )
             (OUT / f"{workload.name}-spans.json").write_text(json.dumps(spans.dump(tracer.spans)))
-        problems = gate(workload, args.seed, chunks, workers, work_dir, reference)
-        for a, b in zip(chunks, traced):
-            for key in same_errors(a, b, [e.key for e in workload.ensembles]):
-                problems.setdefault(key, []).append(f"tracing changed the errors of seed {a.seed}")
-            if b.error:
-                problems.setdefault("*", []).append(f"traced chunk {b.seed} raised:\n{b.error}")
-    attempted, failed = count_failures(workload, chunks + traced, problems)
+        problems = gate(workload, args.seed, chunks, traced, tallies, workers, work_dir, reference)
+    attempted, failed = count_failures(workload, len(chunks) + len(traced),
+                                       (tallies, traced_tallies), problems)
 
     if args.trace == 0:
         metrics = {
-            "reps_per_s": sum(e.reps for e in workload.ensembles) / best_wall(chunks),
+            "reps_per_s": sum(e.reps for e in workload.ensembles) / chunk_wall(chunks),
             "setup_s": statistics.median(setup_times),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "pass_frac": (attempted - failed) / attempted,
@@ -437,14 +473,14 @@ def main(argv=None) -> int:
 
 
 def write_reference(workloads) -> int:
-    from workloads import derive
+    from workloads import derive_seed
 
     OUT.mkdir(exist_ok=True)
     stored = {}
     with tempfile.TemporaryDirectory(dir=OUT) as tmp:
         for name, workload in workloads.items():
             workload.warm_up()
-            chunk = run_chunk(workload, derive(REFERENCE_SEED, 0), workload.workers, Path(tmp))
+            chunk = run_chunk(workload, derive_seed(REFERENCE_SEED, 0), workload.workers, Path(tmp))
             if chunk.error or chunk.problems:
                 print(chunk.error or chunk.problems, file=sys.stderr)
                 return 1

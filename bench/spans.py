@@ -228,6 +228,9 @@ def layer_metrics(tracer: Tracer, reps: int, traced_wall: float, untraced_wall: 
         "testbed.budget": budget / reps,
         "testbed.evals_over_budget": tracer.evals / budget if budget else 0.0,
         "trace.coverage": sum(own.values()) / traced_wall,
+        # Coverage is 1 by construction, since the root spans' self time
+        # takes in whatever no wrapped layer sees; this share shows that part.
+        "trace.root_self_share": (own.get("cli", 0.0) + own.get("stats.replicate", 0.0)) / traced_wall,
         "trace.overhead": traced_wall / untraced_wall - 1.0,
     })
     return metrics
