@@ -21,16 +21,12 @@ from .estimators import (
 )
 from .grid import (
     NodeSet,
-    SubcubeIndex,
     UnisolvenceError,
     poly_dim,
     regular_nodes,
     shifted_nodes,
     subcube_indices,
-    subcube_map,
-    subcube_unmap,
 )
-from .interp import InterpolationError, PolyPatch, interpolate, patch_mean, residual_eval
 from .stats import (
     ErrorSample,
     RateFit,
@@ -53,12 +49,9 @@ __all__ = [
     "EstimateRun",
     "EstimatorConfig",
     "Integrand",
-    "InterpolationError",
     "Method",
     "NodeSet",
-    "PolyPatch",
     "RateFit",
-    "SubcubeIndex",
     "UnisolvenceError",
     "bump",
     "classical_cv",
@@ -67,21 +60,16 @@ __all__ = [
     "cv_mom",
     "fit_rate",
     "histogram",
-    "interpolate",
-    "patch_mean",
     "poly_dim",
     "prob_error",
     "random_poly",
     "regular_nodes",
     "replicate",
-    "residual_eval",
     "run",
     "scv",
     "shifted_nodes",
     "stratified",
     "subcube_indices",
-    "subcube_map",
-    "subcube_unmap",
     "subdivisions_for_budget",
     "tail_fraction",
     "test_function_2d",

@@ -260,15 +260,17 @@ def _check_test_function(settings: Settings) -> None:
         raise ConfigError("crude Monte Carlo takes an explicit sample count and is not part of this campaign")
 
 
-def cmd_rates(settings: Settings) -> int:
-    """Replication ensembles per (method, m); raw errors plus max/quantile summaries."""
+def _ensembles(settings: Settings, m_list: list[int], raw_rows: list):
+    """Replication ensembles of the 2-d test function per (method, m).
+
+    Skips, with a line on stderr, configurations whose budget cannot be
+    met.  Appends each ensemble's raw rows to `raw_rows` and yields its
+    summary-row prefix with the error sample.
+    """
     _check_test_function(settings)
     f = test_function_2d()
-    out = settings.out or Path("rates.csv")
-    raw_rows = []
-    summary_rows = []
     for method in settings.methods:
-        for m in settings.m_list:
+        for m in m_list:
             cfg = _estimator_config(settings, method, m)
             try:
                 evals = cfg.budget(settings.d)
@@ -277,37 +279,33 @@ def cmd_rates(settings: Settings) -> int:
                 continue
             sample = replicate(f, cfg, settings.reps, _campaign_seed(settings, method, m),
                                workers=settings.threads)
-            for rep, err in enumerate(sample.errors):
-                raw_rows.append([method.value, settings.s, settings.d, m, evals, rep, float(err)])
             base = [method.value, settings.s, settings.d, m, evals]
-            summary_rows.append(base + ["max_abs_error", float(abs(sample.errors).max())])
-            summary_rows.append(base + ["q99_error", prob_error(sample, 0.01)])
+            raw_rows.extend(base + [rep, float(err)] for rep, err in enumerate(sample.errors))
+            yield base, sample
+
+
+def _write_campaign(out: Path, raw_rows: list, summary_rows: list) -> None:
     _write_csv(out, RAW_HEADER, raw_rows)
     _write_csv(_summary_path(out), SUMMARY_HEADER, summary_rows)
     print(f"wrote {out} and {_summary_path(out)}")
+
+
+def cmd_rates(settings: Settings) -> int:
+    """Replication ensembles per (method, m); raw errors plus max/quantile summaries."""
+    raw_rows = []
+    summary_rows = []
+    for base, sample in _ensembles(settings, settings.m_list, raw_rows):
+        summary_rows.append(base + ["max_abs_error", float(abs(sample.errors).max())])
+        summary_rows.append(base + ["q99_error", prob_error(sample, 0.01)])
+    _write_campaign(settings.out or Path("rates.csv"), raw_rows, summary_rows)
     return EXIT_OK
 
 
 def cmd_histogram(settings: Settings) -> int:
     """Signed-error distribution per method at one grid size."""
-    _check_test_function(settings)
-    f = test_function_2d()
-    out = settings.out or Path("histogram.csv")
-    m = settings.m_list[0]
     raw_rows = []
     summary_rows = []
-    for method in settings.methods:
-        cfg = _estimator_config(settings, method, m)
-        try:
-            evals = cfg.budget(settings.d)
-        except BudgetError as exc:
-            print(f"skipping {method.value} at m={m}: {exc}", file=sys.stderr)
-            continue
-        sample = replicate(f, cfg, settings.reps, _campaign_seed(settings, method, m),
-                           workers=settings.threads)
-        for rep, err in enumerate(sample.errors):
-            raw_rows.append([method.value, settings.s, settings.d, m, evals, rep, float(err)])
-        base = [method.value, settings.s, settings.d, m, evals]
+    for base, sample in _ensembles(settings, settings.m_list[:1], raw_rows):
         summary_rows.append(base + ["mean_error", float(sample.errors.mean())])
         for threshold in settings.thresholds:
             summary_rows.append(
@@ -317,18 +315,18 @@ def cmd_histogram(settings: Settings) -> int:
             summary_rows.append(base + [f"hist_left_{i}", left])
             summary_rows.append(base + [f"hist_right_{i}", right])
             summary_rows.append(base + [f"hist_count_{i}", count])
-    _write_csv(out, RAW_HEADER, raw_rows)
-    _write_csv(_summary_path(out), SUMMARY_HEADER, summary_rows)
-    print(f"wrote {out} and {_summary_path(out)}")
+    _write_campaign(settings.out or Path("histogram.csv"), raw_rows, summary_rows)
     return EXIT_OK
 
 
 def cmd_tails(settings: Settings) -> int:
     """Confidence-level error of SCV on corner bumps rebuilt per delta.
 
-    Emits the delta-level quantile error and, as supplementary evidence of
-    the tail behaviour, the maximum error over the replications, each with
-    the fitted exponent of log error against log(1/delta).
+    Emits the delta-level quantile error and the maximum error over the
+    replications, and the fitted exponent of the maximum error against
+    log(1/delta).  The quantile gets no exponent: a corner bump is hit
+    with probability below delta, so its delta-level quantile is exactly
+    the bump's integral and its exponent is -1/2 whatever the estimator.
     """
     if not settings.s < settings.d / settings.p:
         raise ConfigError(
@@ -337,26 +335,19 @@ def cmd_tails(settings: Settings) -> int:
         )
     out = settings.out or Path("tails.csv")
     m = settings.m_list[0]
-    cfg = EstimatorConfig(method=Method.SCV, s=settings.s, m=m, k=settings.k,
-                          interpolation_mode=settings.mode)
-    evals = cfg.budget(settings.d)
+    cfg = _estimator_config(settings, Method.SCV, m)
+    base = [Method.SCV.value, settings.s, settings.d, m, cfg.budget(settings.d)]
     summary_rows = []
-    quantile_points = []
     max_points = []
     for i, delta in enumerate(settings.delta_list):
         f = corner_bump(settings.s, settings.d, settings.p, m, delta)
         sample = replicate(f, cfg, settings.reps, derive_seed(settings.seed, 3, i),
                            workers=settings.threads)
-        e_quantile = prob_error(sample, delta)
         e_max = float(abs(sample.errors).max())
-        base = [Method.SCV.value, settings.s, settings.d, m, evals]
-        summary_rows.append(base + [f"prob_error_delta_{delta:g}", e_quantile])
+        summary_rows.append(base + [f"prob_error_delta_{delta:g}", prob_error(sample, delta)])
         summary_rows.append(base + [f"max_abs_error_delta_{delta:g}", e_max])
-        quantile_points.append((1.0 / delta, e_quantile))
         max_points.append((1.0 / delta, e_max))
-    base = [Method.SCV.value, settings.s, settings.d, m, evals]
-    if len(quantile_points) >= 2:
-        summary_rows.append(base + ["delta_exponent_quantile", fit_rate(quantile_points).slope])
+    if len(max_points) >= 2:
         summary_rows.append(base + ["delta_exponent_max", fit_rate(max_points).slope])
     _write_csv(out, SUMMARY_HEADER, summary_rows)
     print(f"wrote {out}")

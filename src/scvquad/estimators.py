@@ -20,6 +20,7 @@ invocations concurrently.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -168,45 +169,48 @@ def _require(cfg: EstimatorConfig, method: Method) -> None:
         raise ValueError(f"config method is {cfg.method.value!r}, expected {method.value!r}")
 
 
-def _local_solver(plan: _Plan, cfg: EstimatorConfig, rng: np.random.Generator) -> LocalInterpolator:
-    """Interpolation solver for this run; draws the shared shift first in shifted mode."""
-    if cfg.interpolation_mode == SHIFTED:
-        shift = rng.random(plan.d)
-        return LocalInterpolator(shifted_nodes(plan.base.nodes, shift))
-    return plan.base
+def _fit(f: Integrand, cfg: EstimatorConfig, method: Method):
+    """Check the method and budget, then interpolate f on every subcube at once.
 
-
-def _piecewise_fit(f: Integrand, plan: _Plan, solver: LocalInterpolator):
-    """Interpolate f on every subcube at once.
-
-    Evaluates f at the mapped nodes of all cells (lexicographic cell order,
-    node order within each cell) and solves the shared collocation system
-    against all value columns.  Returns (coeffs, cell_means) with coeffs of
-    shape (n0, m^d).
+    Opens the invocation's stream and, in shifted mode, draws the shared
+    shift from it first.  Evaluates f at the mapped nodes of all cells
+    (lexicographic cell order, node order within each cell) and solves the
+    shared collocation system against all value columns.  Returns
+    (evals, plan, rng, solver, coeffs, cell_means) with coeffs of shape
+    (n0, m^d).
     """
+    _require(cfg, method)
+    plan = _plan(cfg.s, f.dim, cfg.m)
+    evals = cfg.budget(f.dim)  # raises BudgetError before any evaluation
+    rng = _stream(cfg.seed)
+    solver = plan.base
+    if cfg.interpolation_mode == SHIFTED:
+        solver = LocalInterpolator(shifted_nodes(plan.base.nodes, rng.random(plan.d)))
     pts = (solver.nodes.points[None, :, :] + plan.offsets[:, None, :]) / plan.m
     vals = f(pts.reshape(-1, plan.d)).reshape(plan.n_cubes, -1)
     coeffs = solver.solve(vals.T)
-    means = solver.moments @ coeffs
-    return coeffs, means
+    return evals, plan, rng, solver, coeffs, solver.moments @ coeffs
 
 
-def _whole_cube_residuals(
-    f: Integrand,
-    plan: _Plan,
-    solver: LocalInterpolator,
-    coeffs: np.ndarray,
-    rng: np.random.Generator,
-    n_samples: int,
-):
-    """Residual f - g at iid uniform points of the whole cube, in draw order."""
-    x = rng.random((n_samples, plan.d))
+def _whole_cube(f: Integrand, cfg: EstimatorConfig, method: Method, k: int) -> EstimateRun:
+    """Interpolant's integral plus the median of k whole-cube residual group means.
+
+    The residual f - g is sampled at iid uniform points of the whole cube
+    and split in draw order into k consecutive groups of
+    ``n1 = floor(samples_per_cube * m^d / k)``; each group mean is
+    ``fsum(group) / n1``.  With k = 1 this is classical control variates.
+    """
+    evals, plan, rng, solver, coeffs, means = _fit(f, cfg, method)
+    int_g = math.fsum(means.tolist()) / plan.n_cubes
+
+    n1 = (cfg.resolved_samples_per_cube(f.dim) * plan.n_cubes) // k
+    x = rng.random((k * n1, plan.d))
     cells = np.minimum((x * plan.m).astype(np.int64), plan.m - 1)
-    cols = cells @ plan.strides
     local = x * plan.m - cells
-    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cols])
-    fx = f(x)
-    return fx - gx
+    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ plan.strides])
+    groups = (f(x) - gx).reshape(k, n1).tolist()
+    value = int_g + statistics.median(math.fsum(g) / n1 for g in groups)
+    return EstimateRun(value=value, evals=evals, config=cfg, seed=cfg.seed)
 
 
 def scv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
@@ -217,13 +221,7 @@ def scv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     and unbiased.  In shifted mode one shift is drawn first and shared by
     all cells.
     """
-    _require(cfg, Method.SCV)
-    plan = _plan(cfg.s, f.dim, cfg.m)
-    evals = cfg.budget(f.dim)
-    rng = _stream(cfg.seed)
-    solver = _local_solver(plan, cfg, rng)
-    coeffs, means = _piecewise_fit(f, plan, solver)
-
+    evals, plan, rng, solver, coeffs, means = _fit(f, cfg, Method.SCV)
     spc = cfg.resolved_samples_per_cube(f.dim)
     u = rng.random((plan.n_cubes, spc, plan.d))
     x = (u + plan.offsets[:, None, :]) / plan.m
@@ -240,20 +238,10 @@ def classical_cv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
 
     The interpolant's integral is computed exactly as the mean of the cell
     means; the residual is averaged over iid uniform samples on the whole
-    cube.  Unbiased, exact on polynomials of total degree < s.
+    cube.  Unbiased, exact on polynomials of total degree < s.  This is
+    :func:`cv_mom` with a single group.
     """
-    _require(cfg, Method.CV)
-    plan = _plan(cfg.s, f.dim, cfg.m)
-    evals = cfg.budget(f.dim)
-    rng = _stream(cfg.seed)
-    solver = _local_solver(plan, cfg, rng)
-    coeffs, means = _piecewise_fit(f, plan, solver)
-    int_g = math.fsum(means.tolist()) / plan.n_cubes
-
-    n_res = cfg.resolved_samples_per_cube(f.dim) * plan.n_cubes
-    residuals = _whole_cube_residuals(f, plan, solver, coeffs, rng, n_res)
-    value = int_g + math.fsum(residuals.tolist()) / n_res
-    return EstimateRun(value=value, evals=evals, config=cfg, seed=cfg.seed)
+    return _whole_cube(f, cfg, Method.CV, 1)
 
 
 def cv_mom(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
@@ -265,19 +253,7 @@ def cv_mom(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     requires ``samples_per_cube * m^d >= k``.  An even k takes the mean of
     the two central order statistics.
     """
-    _require(cfg, Method.CV_MOM)
-    plan = _plan(cfg.s, f.dim, cfg.m)
-    evals = cfg.budget(f.dim)  # raises BudgetError when k cannot be served
-    rng = _stream(cfg.seed)
-    solver = _local_solver(plan, cfg, rng)
-    coeffs, means = _piecewise_fit(f, plan, solver)
-    int_g = math.fsum(means.tolist()) / plan.n_cubes
-
-    n1 = (cfg.resolved_samples_per_cube(f.dim) * plan.n_cubes) // cfg.k
-    residuals = _whole_cube_residuals(f, plan, solver, coeffs, rng, cfg.k * n1)
-    group_means = residuals.reshape(cfg.k, n1).mean(axis=1)
-    value = int_g + float(np.median(group_means))
-    return EstimateRun(value=value, evals=evals, config=cfg, seed=cfg.seed)
+    return _whole_cube(f, cfg, Method.CV_MOM, cfg.k)
 
 
 def stratified(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:

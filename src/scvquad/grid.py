@@ -1,9 +1,9 @@
 """Dimension bookkeeping on the unit cube.
 
-Polynomial-space dimensions, the ``m^d`` subcube decomposition with its
-affine maps, and unisolvent node sets for total-degree interpolation.
-All objects here are immutable after construction and safe to share
-across threads.
+Polynomial-space dimensions, the lexicographic index of the ``m^d``
+subcube decomposition, and unisolvent node sets for total-degree
+interpolation.  All objects here are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ __all__ = [
     "NodeSet",
     "regular_nodes",
     "shifted_nodes",
-    "SubcubeIndex",
     "subcube_indices",
-    "subcube_map",
-    "subcube_unmap",
-    "subcube_volume",
 ]
 
 # Node sets whose interpolation matrix has a reciprocal condition estimate
@@ -189,32 +185,6 @@ def shifted_nodes(base: NodeSet, shift: np.ndarray) -> NodeSet:
     return NodeSet(points=(base.points + shift) / 2.0, s=base.s, d=base.d, shift=shift)
 
 
-@dataclass(frozen=True)
-class SubcubeIndex:
-    """Index of one cell of the uniform m-fold split of the unit cube.
-
-    The cell is ``prod_j [i_j/m, (i_j+1)/m]``; its chart is the affine map
-    x -> (x + i)/m from [0,1]^d onto the cell.
-    """
-
-    index: tuple[int, ...]
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"need m >= 1, got m={self.m}")
-        idx = tuple(int(i) for i in self.index)
-        if len(idx) < 1:
-            raise ValueError("index must have at least one axis")
-        if any(i < 0 or i >= self.m for i in idx):
-            raise ValueError(f"index {idx} out of range for m={self.m}")
-        object.__setattr__(self, "index", idx)
-
-    @property
-    def d(self) -> int:
-        return len(self.index)
-
-
 @lru_cache(maxsize=32)
 def _index_array(m: int, d: int) -> np.ndarray:
     grids = np.meshgrid(*([np.arange(m)] * d), indexing="ij")
@@ -226,41 +196,11 @@ def _index_array(m: int, d: int) -> np.ndarray:
 def subcube_indices(m: int, d: int) -> np.ndarray:
     """All m^d subcube indices as an (m^d, d) array in lexicographic order.
 
-    The lexicographic order fixes the traversal (and hence the floating
+    Index i names the cell ``prod_j [i_j/m, (i_j+1)/m]``, which holds the
+    points ``(u + i)/m`` for local coordinates u in [0,1]^d.  The
+    lexicographic order fixes the traversal (and hence the floating
     summation order) used by every estimator.  Read-only, shared array.
     """
     if m < 1 or d < 1:
         raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
     return _index_array(m, d)
-
-
-def subcube_volume(m: int, d: int) -> float:
-    """Volume of a single cell, ``m**-d``."""
-    if m < 1 or d < 1:
-        raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
-    return 1.0 / m**d
-
-
-def subcube_map(idx: SubcubeIndex, x: np.ndarray) -> np.ndarray:
-    """Map a point of [0,1]^d onto the subcube: ``(x + i)/m`` componentwise."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (idx.d,):
-        raise ValueError(f"expected a point of shape ({idx.d},), got {x.shape}")
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ValueError("point must lie inside the unit cube")
-    return (x + np.asarray(idx.index, dtype=float)) / idx.m
-
-
-def subcube_unmap(idx: SubcubeIndex, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Inverse chart: local coordinates ``y*m - i`` of a point in the subcube.
-
-    `tol` absorbs roundoff from the forward map; points further outside the
-    cell raise.  Round-trips with :func:`subcube_map` to within a few ulp.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (idx.d,):
-        raise ValueError(f"expected a point of shape ({idx.d},), got {y.shape}")
-    local = y * idx.m - np.asarray(idx.index, dtype=float)
-    if local.min() < -tol * idx.m or local.max() > 1.0 + tol * idx.m:
-        raise ValueError(f"point {y} lies outside subcube {idx.index} of the m={idx.m} grid")
-    return np.clip(local, 0.0, 1.0)

@@ -1,43 +1,20 @@
-"""Local polynomial patches on subcubes.
+"""Local polynomial interpolation on subcubes.
 
 Interpolation in the monomial basis supplies the control variates; their
 means over the cell are exact term-by-term moments, which is the reason
 for staying in the monomial basis at desk scale (s <= 4, d <= 4) where its
-conditioning is acceptable.  Solves report a condition estimate and fail
-loudly instead of degrading silently.
+conditioning is acceptable.  Conditioning is checked once, when the
+:class:`NodeSet` is built, so a solver only exists for node sets whose
+collocation matrix is well conditioned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import (
-    NodeSet,
-    SubcubeIndex,
-    monomial_matrix,
-    subcube_unmap,
-    total_degree_exponents,
-)
+from .grid import NodeSet, monomial_matrix, total_degree_exponents
 
-__all__ = [
-    "InterpolationError",
-    "LocalInterpolator",
-    "PolyPatch",
-    "interpolate",
-    "patch_mean",
-    "residual_eval",
-    "monomial_means",
-]
-
-
-class InterpolationError(RuntimeError):
-    """Interpolation system could not be solved reliably."""
-
-    def __init__(self, message: str, rcond: float):
-        super().__init__(message)
-        self.rcond = rcond
+__all__ = ["LocalInterpolator", "monomial_means"]
 
 
 def monomial_means(exponents: np.ndarray) -> np.ndarray:
@@ -50,7 +27,8 @@ class LocalInterpolator:
 
     Precomputes the collocation matrix and the moment vector so that a
     batch of value vectors (one column per subcube) resolves into
-    coefficient vectors with a single pivoted solve.
+    coefficient vectors with a single pivoted solve.  The mean of an
+    interpolant over its cell is ``moments @ coeffs``.
     """
 
     def __init__(self, nodes: NodeSet):
@@ -69,86 +47,8 @@ class LocalInterpolator:
         n0 = len(self.nodes)
         if values.shape[0] != n0:
             raise ValueError(f"expected {n0} node values, got {values.shape[0]}")
-        try:
-            return np.linalg.solve(self.matrix, values)
-        except np.linalg.LinAlgError as exc:
-            raise InterpolationError(
-                f"interpolation system is singular (rcond ~ {self.nodes.rcond:.3e})",
-                rcond=self.nodes.rcond,
-            ) from exc
+        return np.linalg.solve(self.matrix, values)
 
     def design_matrix(self, points_local: np.ndarray) -> np.ndarray:
         """Monomial values at local points, shape (n, n0)."""
         return monomial_matrix(points_local, self.exponents)
-
-
-@dataclass(frozen=True)
-class PolyPatch:
-    """A polynomial of total degree < s in local coordinates of one subcube.
-
-    `coeffs` is aligned row-for-row with `exponents` (the shared
-    total-degree ordering); `subcube` locates the patch on the m-grid.
-    """
-
-    coeffs: np.ndarray
-    exponents: np.ndarray
-    subcube: SubcubeIndex
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 1 or coeffs.shape[0] != self.exponents.shape[0]:
-            raise ValueError(
-                f"coeffs must be a vector of length {self.exponents.shape[0]}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def coefficient(self, alpha) -> float:
-        """Coefficient of the monomial x^alpha (0.0 if alpha is absent)."""
-        alpha = tuple(int(a) for a in alpha)
-        for row, c in zip(self.exponents, self.coeffs):
-            if tuple(row) == alpha:
-                return float(c)
-        return 0.0
-
-    def __call__(self, x_local: np.ndarray):
-        """Evaluate at a local point (d,) or a batch (n, d)."""
-        x = np.asarray(x_local, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        out = monomial_matrix(pts, self.exponents) @ self.coeffs
-        return float(out[0]) if single else out
-
-
-def interpolate(values, nodes: NodeSet, subcube: SubcubeIndex | None = None) -> PolyPatch:
-    """The unique polynomial of total degree < s matching `values` at `nodes`.
-
-    Solved through the monomial collocation system with pivoted
-    elimination.  `subcube` tags the patch with its cell on the m-grid and
-    defaults to the whole cube.
-    """
-    solver = LocalInterpolator(nodes)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(nodes),):
-        raise ValueError(f"expected {len(nodes)} values, got shape {values.shape}")
-    coeffs = solver.solve(values)
-    if subcube is None:
-        subcube = SubcubeIndex(index=(0,) * nodes.d, m=1)
-    return PolyPatch(coeffs=coeffs, exponents=solver.exponents, subcube=subcube)
-
-
-def patch_mean(patch: PolyPatch) -> float:
-    """Mean of the patch over its local coordinates, exact up to rounding.
-
-    Term-by-term: ``sum_alpha c_alpha * prod_j 1/(alpha_j + 1)``.
-    """
-    return float(monomial_means(patch.exponents) @ patch.coeffs)
-
-
-def residual_eval(f, patch: PolyPatch, x_global: np.ndarray) -> float:
-    """Residual ``f(x) - patch(local(x))`` at one global point of the patch's cell.
-
-    Costs exactly one evaluation of `f`.  Raises if the point is outside
-    the cell.
-    """
-    local = subcube_unmap(patch.subcube, np.asarray(x_global, dtype=float))
-    return float(f(np.asarray(x_global, dtype=float))) - patch(local)

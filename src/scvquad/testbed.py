@@ -128,8 +128,7 @@ class BumpSpec:
     The base profile is ``psi(x) = (1 - |x|^2)^s`` on the unit ball and 0
     outside; it equals 1 at the origin and at least ``(3/4)^s`` on the
     half-radius ball.  The spec scales it to width `sigma` around `center`
-    with height ``sigma^-(d/p - s)``.  `normalized` (division by the
-    profile's Sobolev norm) is reserved and currently unimplemented.
+    with height ``sigma^-(d/p - s)``.
     """
 
     s: int
@@ -137,7 +136,6 @@ class BumpSpec:
     p: float
     sigma: float
     center: tuple[float, ...]
-    normalized: bool = False
 
     def __post_init__(self):
         if self.s < 1 or self.d < 1:
@@ -169,11 +167,6 @@ def bump(spec: BumpSpec) -> Integrand:
     support ball, 0 outside; exact integral
     ``ball_bump_integral(s, d) * sigma^(s + d(1 - 1/p))``.
     """
-    if spec.normalized:
-        raise NotImplementedError(
-            "normalized bumps require the profile's Sobolev norm; "
-            "only unnormalized bumps are provided"
-        )
     height = spec.height
     center = np.asarray(spec.center, dtype=float)
     sigma = spec.sigma

@@ -88,7 +88,7 @@ def test_tails_command(tmp_path):
     stats = [row[5] for row in rows[1:]]
     assert "prob_error_delta_0.2" in stats
     assert "max_abs_error_delta_0.1" in stats
-    assert "delta_exponent_quantile" in stats
+    assert "delta_exponent_quantile" not in stats  # pinned at -1/2 on corner bumps
     assert "delta_exponent_max" in stats
 
 

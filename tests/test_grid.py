@@ -7,16 +7,12 @@ import pytest
 
 from scvquad.grid import (
     NodeSet,
-    SubcubeIndex,
     UnisolvenceError,
     monomial_matrix,
     poly_dim,
     regular_nodes,
     shifted_nodes,
     subcube_indices,
-    subcube_map,
-    subcube_unmap,
-    subcube_volume,
     total_degree_exponents,
 )
 
@@ -54,44 +50,11 @@ def test_exponents_order_and_contents():
     assert exps.shape == (poly_dim(3, 2), 2)
 
 
-def test_subcube_map_identity_at_m1():
-    idx = SubcubeIndex((0, 0, 0), m=1)
-    x = np.array([0.3, 0.7, 0.1])
-    assert np.array_equal(subcube_map(idx, x), x)
-
-
-def test_subcube_map_direct_arithmetic():
-    idx = SubcubeIndex((3, 0), m=4)
-    out = subcube_map(idx, np.array([0.5, 0.5]))
-    assert np.allclose(out, [0.875, 0.125], atol=0)
-
-
-def test_subcube_roundtrip_random():
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        d = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 9))
-        idx = SubcubeIndex(tuple(int(i) for i in rng.integers(0, m, d)), m=m)
-        x = rng.random(d)
-        back = subcube_unmap(idx, subcube_map(idx, x))
-        assert np.allclose(back, x, atol=1e-12)
-
-
 def test_subcube_index_validation():
     with pytest.raises(ValueError):
-        SubcubeIndex((4,), m=4)
+        subcube_indices(0, 2)
     with pytest.raises(ValueError):
-        SubcubeIndex((-1, 0), m=2)
-    with pytest.raises(ValueError):
-        SubcubeIndex((0,), m=0)
-
-
-def test_subcube_map_rejects_outside_points():
-    idx = SubcubeIndex((0, 0), m=2)
-    with pytest.raises(ValueError):
-        subcube_map(idx, np.array([1.5, 0.0]))
-    with pytest.raises(ValueError):
-        subcube_unmap(idx, np.array([0.9, 0.9]))  # belongs to cell (1,1)
+        subcube_indices(2, 0)
 
 
 def test_subcube_volumes_partition_unity():
@@ -99,7 +62,6 @@ def test_subcube_volumes_partition_unity():
         assert subcube_indices(m, d).shape == (m**d, d)
         total = sum(Fraction(1, m**d) for _ in range(m**d))
         assert total == 1
-        assert subcube_volume(m, d) == pytest.approx(1.0 / m**d, abs=0)
 
 
 def test_subcube_indices_lexicographic():

@@ -1,80 +1,73 @@
 import numpy as np
 import pytest
 
-from scvquad.grid import SubcubeIndex, regular_nodes, shifted_nodes, subcube_map
-from scvquad.interp import (
-    LocalInterpolator,
-    PolyPatch,
-    interpolate,
-    monomial_means,
-    patch_mean,
-    residual_eval,
+from scvquad.grid import (
+    poly_dim,
+    regular_nodes,
+    shifted_nodes,
+    subcube_indices,
+    total_degree_exponents,
 )
+from scvquad.interp import LocalInterpolator, monomial_means
 from scvquad.testbed import random_poly
 from scvquad.testbed import test_function_2d as make_benchmark
 
 
-def _patch(coeffs, s, d):
-    from scvquad.grid import total_degree_exponents
-
-    return PolyPatch(
-        coeffs=np.asarray(coeffs, float),
-        exponents=total_degree_exponents(s, d),
-        subcube=SubcubeIndex((0,) * d, m=1),
-    )
+def _coefficient(solver, coeffs, alpha):
+    """Coefficient of the monomial x^alpha in the solver's exponent order."""
+    rows = [tuple(row) for row in solver.exponents]
+    return coeffs[rows.index(tuple(alpha))]
 
 
 def test_interpolate_constants():
-    nodes = regular_nodes(3, 2)
-    patch = interpolate(np.full(len(nodes), 4.5), nodes)
-    assert patch.coefficient((0, 0)) == pytest.approx(4.5, abs=1e-12)
-    others = [c for row, c in zip(patch.exponents, patch.coeffs) if tuple(row) != (0, 0)]
-    assert np.allclose(others, 0.0, atol=1e-12)
+    solver = LocalInterpolator(regular_nodes(3, 2))
+    coeffs = solver.solve(np.full(len(solver.nodes), 4.5))
+    assert _coefficient(solver, coeffs, (0, 0)) == pytest.approx(4.5, abs=1e-12)
+    assert np.allclose(coeffs[1:], 0.0, atol=1e-12)  # the constant term comes first
 
 
 def test_interpolate_linear_1d():
-    nodes = regular_nodes(2, 1)
-    order = np.argsort(nodes.points[:, 0])
-    values = np.zeros(2)
-    values[order[0]] = 0.0
-    values[order[1]] = 1.0
-    patch = interpolate(values, nodes)
-    assert patch.coefficient((0,)) == pytest.approx(0.0, abs=1e-12)
-    assert patch.coefficient((1,)) == pytest.approx(1.0, abs=1e-12)
+    solver = LocalInterpolator(regular_nodes(2, 1))
+    values = solver.nodes.points[:, 0].copy()  # f(x) = x at the nodes 0 and 1
+    coeffs = solver.solve(values)
+    assert _coefficient(solver, coeffs, (0,)) == pytest.approx(0.0, abs=1e-12)
+    assert _coefficient(solver, coeffs, (1,)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interpolate_2d_hand_oracle():
     # values 1, 2, 4 at (0,0), (1,0), (0,1) -> 1 + x1 + 3 x2
-    nodes = regular_nodes(2, 2)
-    values = np.array([1.0 + p[0] + 3.0 * p[1] for p in nodes.points])
-    patch = interpolate(values, nodes)
-    assert patch.coefficient((0, 0)) == pytest.approx(1.0, abs=1e-12)
-    assert patch.coefficient((1, 0)) == pytest.approx(1.0, abs=1e-12)
-    assert patch.coefficient((0, 1)) == pytest.approx(3.0, abs=1e-12)
+    solver = LocalInterpolator(regular_nodes(2, 2))
+    values = np.array([1.0 + p[0] + 3.0 * p[1] for p in solver.nodes.points])
+    coeffs = solver.solve(values)
+    assert _coefficient(solver, coeffs, (0, 0)) == pytest.approx(1.0, abs=1e-12)
+    assert _coefficient(solver, coeffs, (1, 0)) == pytest.approx(1.0, abs=1e-12)
+    assert _coefficient(solver, coeffs, (0, 1)) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_patch_mean_examples():
-    assert patch_mean(_patch([7.0], 1, 2)) == pytest.approx(7.0, abs=0)
+    # the mean of an interpolant over its cell is moments @ coeffs
+    assert LocalInterpolator(regular_nodes(1, 2)).moments @ [7.0] == pytest.approx(7.0, abs=0)
     # x1*x2 has coefficient 1 on exponent (1,1) for s=3, d=2
     coeffs = np.zeros(6)
     coeffs[4] = 1.0  # order: (0,0),(1,0),(0,1),(2,0),(1,1),(0,2)
-    assert patch_mean(_patch(coeffs, 3, 2)) == pytest.approx(0.25, abs=1e-15)
-    assert patch_mean(_patch([1.0, 1.0, 3.0], 2, 2)) == pytest.approx(3.0, abs=1e-12)
+    moments = LocalInterpolator(regular_nodes(3, 2)).moments
+    assert moments @ coeffs == pytest.approx(0.25, abs=1e-15)
+    moments = LocalInterpolator(regular_nodes(2, 2)).moments
+    assert moments @ [1.0, 1.0, 3.0] == pytest.approx(3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("s,d,npts", [(1, 4, 100_000), (4, 1, 100_000), (2, 2, 100_000)])
 def test_patch_mean_against_midpoint_rule(s, d, npts):
     rng = np.random.default_rng(s * 10 + d)
-    from scvquad.grid import poly_dim
-
+    solver = LocalInterpolator(regular_nodes(s, d))
     per_axis = int(round(npts ** (1.0 / d)))
     grid_1d = (np.arange(per_axis) + 0.5) / per_axis
     mesh = np.meshgrid(*([grid_1d] * d), indexing="ij")
     pts = np.stack(mesh, axis=-1).reshape(-1, d)
     for _ in range(5):
-        patch = _patch(rng.uniform(-1, 1, poly_dim(s, d)), s, d)
-        quad = patch(pts).mean()
-        assert patch_mean(patch) == pytest.approx(quad, abs=1e-6)
+        coeffs = rng.uniform(-1, 1, poly_dim(s, d))
+        quad = (solver.design_matrix(pts) @ coeffs).mean()
+        assert solver.moments @ coeffs == pytest.approx(quad, abs=1e-6)
 
 
 def test_polynomial_reproduction_random():
@@ -92,47 +85,27 @@ def test_polynomial_reproduction_random():
 def test_residual_zero_for_reproduced_polynomial():
     rng = np.random.default_rng(5)
     f = random_poly(3, 2, seed=8)
-    nodes = regular_nodes(3, 2)
-    values = np.array([float(f(p)) for p in nodes.points])
-    patch = interpolate(values, nodes)
-    for _ in range(100):
-        x = rng.random(2)
-        assert abs(residual_eval(f, patch, x)) < 1e-10
-
-
-def test_residual_of_zero_patch_is_f():
-    f = make_benchmark()
-    patch = _patch(np.zeros(3), 2, 2)
-    x = np.array([0.3, 0.6])
-    assert residual_eval(f, patch, x) == pytest.approx(float(f(x)), rel=1e-12)
+    solver = LocalInterpolator(regular_nodes(3, 2))
+    coeffs = solver.solve(f(solver.nodes.points))
+    x = rng.random((100, 2))
+    assert np.abs(f(x) - solver.design_matrix(x) @ coeffs).max() < 1e-10
 
 
 def test_residual_vanishes_at_own_nodes():
+    # every cell's interpolant at m=4 matches f at that cell's mapped nodes,
+    # looked up from the global points as the estimators do; shifted nodes
+    # lie inside their cell, so each point belongs to exactly one cell
     f = make_benchmark()
-    idx = SubcubeIndex((2, 1), m=4)
-    nodes = regular_nodes(2, 2)
-    global_nodes = np.array([subcube_map(idx, p) for p in nodes.points])
-    values = np.array([float(f(p)) for p in global_nodes])
-    patch = interpolate(values, nodes, subcube=idx)
-    for p in global_nodes:
-        assert abs(residual_eval(f, patch, p)) < 1e-10
-
-
-def test_residual_eval_counts_one_evaluation():
-    f = make_benchmark()
-    patch = _patch(np.zeros(3), 2, 2)
-    before = f.evals
-    residual_eval(f, patch, np.array([0.5, 0.5]))
-    assert f.evals - before == 1
-
-
-def test_residual_eval_rejects_point_outside_cell():
-    f = make_benchmark()
-    nodes = regular_nodes(2, 2)
-    idx = SubcubeIndex((0, 0), m=4)
-    patch = interpolate(np.zeros(3), nodes, subcube=idx)
-    with pytest.raises(ValueError):
-        residual_eval(f, patch, np.array([0.9, 0.9]))
+    m = 4
+    solver = LocalInterpolator(shifted_nodes(regular_nodes(3, 2), np.array([0.3, 0.6])))
+    offsets = subcube_indices(m, 2).astype(float)
+    x = ((solver.nodes.points[None, :, :] + offsets[:, None, :]) / m).reshape(-1, 2)
+    fx = f(x)
+    coeffs = solver.solve(fx.reshape(m * m, -1).T)
+    cells = np.floor(x * m).astype(np.int64)
+    local = x * m - cells
+    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ [m, 1]])
+    assert np.allclose(gx, fx, rtol=1e-10, atol=0)
 
 
 def test_max_residual_shrinks_with_m():
@@ -144,8 +117,6 @@ def test_max_residual_shrinks_with_m():
     probe = rng.random((200, 2))
     worst = []
     for m in (1, 2, 4, 8):
-        from scvquad.grid import subcube_indices
-
         offsets = subcube_indices(m, 2).astype(float)
         node_pts = (nodes.points[None, :, :] + offsets[:, None, :]) / m
         values = f(node_pts.reshape(-1, 2)).reshape(m * m, -1)
@@ -169,8 +140,6 @@ def test_shifted_interpolation_reproduces_polynomials():
 
 
 def test_monomial_means_values():
-    from scvquad.grid import total_degree_exponents
-
     means = monomial_means(total_degree_exponents(3, 2))
     # order: 1, x1, x2, x1^2, x1 x2, x2^2
     assert np.allclose(means, [1.0, 0.5, 0.5, 1 / 3, 0.25, 1 / 3], atol=1e-15)

@@ -144,8 +144,6 @@ def test_bump_validation():
         BumpSpec(s=1, d=2, p=1.0, sigma=0.2, center=(0.1, 0.5))  # support leaves the cube
     with pytest.raises(ValueError):
         BumpSpec(s=1, d=2, p=0.5, sigma=0.2, center=(0.5, 0.5))
-    with pytest.raises(NotImplementedError):
-        bump(BumpSpec(s=1, d=2, p=1.0, sigma=0.2, center=(0.5, 0.5), normalized=True))
 
 
 def test_bump_boundary_smoothness():
