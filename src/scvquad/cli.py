@@ -7,7 +7,9 @@ Subcommands: ``rates`` (error-decay scatter over a list of grid sizes),
 
 Configuration comes from, in increasing precedence: built-in per-command
 defaults, the SCV_SEED environment variable (seed only), a flat
-``key = value`` config file, command-line flags.  Identical invocations
+``key = value`` config file, command-line flags.  Each command accepts
+only the flags and keys of the settings it reads; any other option, like
+any bad value, is a configuration error (exit 1).  Identical invocations
 produce byte-identical CSV.
 """
 
@@ -17,8 +19,8 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .estimators import (
     DETERMINISTIC,
@@ -55,105 +57,104 @@ class ConfigError(ValueError):
     """Invalid campaign configuration."""
 
 
-@dataclass
-class Settings:
-    command: str
-    methods: list[Method]
-    s: int
-    d: int
-    m_list: list[int]
-    reps: int
-    k: int
-    seed: int
-    delta_list: list[float]
-    thresholds: list[float]
-    mode: str
-    p: float
-    bins: int
-    trials: int
-    threads: int = 1
-    out: Path | None = None
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"need an integer >= 1, got {value}")
+    return value
 
 
-_DEFAULTS = {
-    "rates": dict(
-        methods=[Method.CV, Method.CV_MOM, Method.SCV],
-        s=2, d=2, m_list=[1, 2, 4, 8, 16, 32, 64], reps=1000, k=11,
-        delta_list=[0.01], thresholds=[2.5, 2.9], mode=DETERMINISTIC,
-        p=1.0, bins=50, trials=100_000,
-    ),
-    "histogram": dict(
-        methods=[Method.CV, Method.CV_MOM, Method.SCV],
-        s=2, d=2, m_list=[4], reps=100_000, k=11,
-        delta_list=[0.01], thresholds=[2.5, 2.9], mode=DETERMINISTIC,
-        p=1.0, bins=50, trials=100_000,
-    ),
-    "tails": dict(
-        methods=[Method.SCV],
-        s=1, d=2, m_list=[8], reps=10_000, k=11,
-        delta_list=[0.1, 0.05, 0.02], thresholds=[], mode=SHIFTED,
-        p=1.0, bins=50, trials=100_000,
-    ),
-    "verify": dict(
-        methods=[], s=2, d=2, m_list=[4], reps=1000, k=11,
-        delta_list=[0.01], thresholds=[], mode=DETERMINISTIC,
-        p=1.0, bins=50, trials=100_000,
-    ),
-}
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {value}")
+    return value
 
 
-def _parse_methods(text: str) -> list[Method]:
-    methods = []
-    for name in text.split(","):
-        name = name.strip().lower()
-        if not name:
-            continue
-        try:
-            methods.append(Method(name))
-        except ValueError:
-            raise ConfigError(
-                f"unknown method {name!r}; choose from "
-                + ", ".join(m.value for m in Method)
-            ) from None
-    if not methods:
-        raise ConfigError("method list is empty")
-    return methods
+def _methods(text: str) -> list[Method]:
+    # crude Monte Carlo takes an explicit sample count, not a grid, so no campaign runs it
+    choices = {m.value: m for m in Method if m is not Method.CRUDE}
+    names = [name.strip().lower() for name in text.split(",") if name.strip()]
+    if not names or any(name not in choices for name in names):
+        raise ValueError(f"methods must be a nonempty list of {', '.join(choices)}, got {text!r}")
+    return [choices[name] for name in names]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
+def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_mode(text: str) -> str:
-    text = text.strip()
+def _deltas(text: str) -> list[float]:
+    values = _floats(text)
+    if not values or any(not 0.0 < dl < 1.0 for dl in values):
+        raise ValueError(f"delta values must be a nonempty list in (0,1), got {text!r}")
+    return values
+
+
+def _thresholds(text: str) -> list[float]:
+    values = _floats(text)
+    if not all(t >= 0.0 for t in values):  # nan included
+        raise ValueError(f"thresholds must be >= 0, got {text!r}")
+    return values
+
+
+def _grid_sizes(text: str) -> list[int]:
+    sizes = [_positive_int(tok) for tok in text.split(",") if tok.strip()]
+    if not sizes:
+        raise ValueError("need at least one grid size")
+    return sizes
+
+
+def _grid_size(text: str) -> int:
+    sizes = _grid_sizes(text)
+    if len(sizes) != 1:
+        raise ValueError(f"this campaign takes one grid size, got {text!r}")
+    return sizes[0]
+
+
+def _mode(text: str) -> str:
     if text not in (DETERMINISTIC, SHIFTED):
-        raise ConfigError(f"mode must be {DETERMINISTIC!r} or {SHIFTED!r}, got {text!r}")
+        raise ValueError(f"mode must be {DETERMINISTIC!r} or {SHIFTED!r}, got {text!r}")
     return text
 
 
-# config-file key -> (settings attribute, parser)
-_FILE_KEYS = {
-    "method": ("methods", _parse_methods),
-    "s": ("s", int),
-    "d": ("d", int),
-    "m_list": ("m_list", _parse_int_list),
-    "R": ("reps", int),
-    "k": ("k", int),
-    "seed": ("seed", int),
-    "delta_list": ("delta_list", _parse_float_list),
-    "thresholds": ("thresholds", _parse_float_list),
-    "mode": ("mode", _parse_mode),
-    "p": ("p", float),
-    "bins": ("bins", int),
-    "trials": ("trials", int),
+class _Setting(NamedTuple):
+    flag: str | None  # command-line flag, if any
+    key: str | None  # config-file key, if any
+    parse: Callable[[str], object]  # text -> validated value; raises ValueError
+    help: str = ""
+
+
+# Every setting a campaign can read.  A command accepts exactly the flags and
+# config-file keys of the settings it declares in _COMMANDS.
+_SETTINGS = {
+    "seed": _Setting("--seed", "seed", _seed, "master seed (fallback: SCV_SEED env var)"),
+    "threads": _Setting("--threads", None, _positive_int, "replication workers"),
+    "methods": _Setting("--method", "method", _methods, "comma-separated method names"),
+    "s": _Setting("--s", "s", _positive_int, "interpolation order"),
+    "d": _Setting(None, "d", _positive_int),
+    "p": _Setting(None, "p", float),
+    "m_list": _Setting("--m", "m_list", _grid_sizes, "comma-separated grid sizes"),
+    "m": _Setting("--m", "m_list", _grid_size, "grid size"),
+    "reps": _Setting("--reps", "R", _positive_int, "replications per configuration"),
+    "k": _Setting("--k", "k", _positive_int, "median-of-means group count"),
+    "delta_list": _Setting("--delta", "delta_list", _deltas, "comma-separated uncertainty levels"),
+    "thresholds": _Setting(None, "thresholds", _thresholds),
+    "bins": _Setting(None, "bins", _positive_int),
+    "mode": _Setting("--mode", "mode", _mode, f"{DETERMINISTIC} or {SHIFTED} nodes"),
+    "trials": _Setting("--trials", "trials", _positive_int, "Monte Carlo trials"),
 }
 
 
-def _read_config_file(path: Path) -> dict:
+def _parsed(name: str, text: str, where: str):
+    try:
+        return _SETTINGS[name].parse(text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _read_config_file(path: Path, command: str) -> dict:
+    names = {_SETTINGS[name].key: name for name in _COMMANDS[command][1] if _SETTINGS[name].key}
     values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -163,63 +164,27 @@ def _read_config_file(path: Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in _FILE_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, parse = _FILE_KEYS[key]
-        try:
-            values[attr] = parse(raw.strip())
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if key not in names:
+            raise ConfigError(
+                f"{path}:{lineno}: {command} takes no key {key!r}; it takes {', '.join(names)}"
+            )
+        values[names[key]] = _parsed(names[key], raw, f"{path}:{lineno}: {key}")
     return values
 
 
-def _settings(args: argparse.Namespace) -> Settings:
-    merged = dict(_DEFAULTS[args.command])
-    merged["seed"] = 0
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """Resolve the command's settings: default < SCV_SEED < config file < flag."""
+    values = dict(_COMMANDS[args.command][1])
     env_seed = os.environ.get("SCV_SEED")
     if env_seed is not None:
-        try:
-            merged["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"SCV_SEED must be an integer, got {env_seed!r}") from None
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        merged.update(_read_config_file(path))
-    overrides = {
-        "methods": _parse_methods(args.method) if args.method else None,
-        "s": args.s,
-        "m_list": _parse_int_list(args.m) if args.m else None,
-        "reps": args.reps,
-        "k": args.k,
-        "seed": args.seed,
-        "delta_list": _parse_float_list(args.delta) if args.delta else None,
-        "mode": _parse_mode(args.mode) if args.mode else None,
-        "trials": args.trials,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    settings = Settings(
-        command=args.command,
-        threads=args.threads,
-        out=Path(args.out) if args.out else None,
-        **merged,
-    )
-    if settings.s < 1 or settings.d < 1:
-        raise ConfigError(f"need s >= 1 and d >= 1, got s={settings.s}, d={settings.d}")
-    if settings.reps < 1:
-        raise ConfigError(f"need R >= 1, got {settings.reps}")
-    if settings.threads < 1:
-        raise ConfigError(f"need threads >= 1, got {settings.threads}")
-    if any(m < 1 for m in settings.m_list) or not settings.m_list:
-        raise ConfigError(f"m_list must be nonempty positive integers, got {settings.m_list}")
-    if any(not 0.0 < dl < 1.0 for dl in settings.delta_list):
-        raise ConfigError(f"delta values must lie in (0,1), got {settings.delta_list}")
-    if not 0 <= settings.seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {settings.seed}")
-    return settings
+        values["seed"] = _parsed("seed", env_seed, "SCV_SEED")
+    if args.config is not None:  # a missing file raises OSError: exit 1
+        values.update(_read_config_file(Path(args.config), args.command))
+    for name in values:
+        text = getattr(args, name, None)
+        if text is not None:
+            values[name] = _parsed(name, text, _SETTINGS[name].flag)
+    return argparse.Namespace(out=Path(args.out) if args.out else None, **values)
 
 
 def _fmt(value) -> str:
@@ -241,45 +206,26 @@ def _summary_path(out: Path) -> Path:
     return out.with_name(out.stem + "_summary" + (out.suffix or ".csv"))
 
 
-def _campaign_seed(settings: Settings, method: Method, m: int) -> int:
-    return derive_seed(settings.seed, _METHOD_ORDER.index(method), m)
-
-
-def _estimator_config(settings: Settings, method: Method, m: int) -> EstimatorConfig:
-    return EstimatorConfig(
-        method=method, s=settings.s, m=m, k=settings.k,
-        interpolation_mode=settings.mode,
-    )
-
-
-def _check_test_function(settings: Settings) -> None:
-    if settings.d != 2:
-        raise ConfigError(f"the {settings.command} campaign uses the 2-d test function; need d=2")
-    bad = [m.value for m in settings.methods if m is Method.CRUDE]
-    if bad:
-        raise ConfigError("crude Monte Carlo takes an explicit sample count and is not part of this campaign")
-
-
-def _ensembles(settings: Settings, m_list: list[int], raw_rows: list):
+def _ensembles(settings, m_list: list[int], raw_rows: list):
     """Replication ensembles of the 2-d test function per (method, m).
 
     Skips, with a line on stderr, configurations whose budget cannot be
     met.  Appends each ensemble's raw rows to `raw_rows` and yields its
     summary-row prefix with the error sample.
     """
-    _check_test_function(settings)
     f = test_function_2d()
     for method in settings.methods:
         for m in m_list:
-            cfg = _estimator_config(settings, method, m)
+            cfg = EstimatorConfig(method=method, s=settings.s, m=m, k=settings.k,
+                                  interpolation_mode=settings.mode)
             try:
-                evals = cfg.budget(settings.d)
+                evals = cfg.budget(f.dim)
             except BudgetError as exc:
                 print(f"skipping {method.value} at m={m}: {exc}", file=sys.stderr)
                 continue
-            sample = replicate(f, cfg, settings.reps, _campaign_seed(settings, method, m),
-                               workers=settings.threads)
-            base = [method.value, settings.s, settings.d, m, evals]
+            seed = derive_seed(settings.seed, _METHOD_ORDER.index(method), m)
+            sample = replicate(f, cfg, settings.reps, seed, workers=settings.threads)
+            base = [method.value, settings.s, f.dim, m, evals]
             raw_rows.extend(base + [rep, float(err)] for rep, err in enumerate(sample.errors))
             yield base, sample
 
@@ -290,7 +236,7 @@ def _write_campaign(out: Path, raw_rows: list, summary_rows: list) -> None:
     print(f"wrote {out} and {_summary_path(out)}")
 
 
-def cmd_rates(settings: Settings) -> int:
+def cmd_rates(settings) -> int:
     """Replication ensembles per (method, m); raw errors plus max/quantile summaries."""
     raw_rows = []
     summary_rows = []
@@ -301,11 +247,11 @@ def cmd_rates(settings: Settings) -> int:
     return EXIT_OK
 
 
-def cmd_histogram(settings: Settings) -> int:
+def cmd_histogram(settings) -> int:
     """Signed-error distribution per method at one grid size."""
     raw_rows = []
     summary_rows = []
-    for base, sample in _ensembles(settings, settings.m_list[:1], raw_rows):
+    for base, sample in _ensembles(settings, [settings.m], raw_rows):
         summary_rows.append(base + ["mean_error", float(sample.errors.mean())])
         for threshold in settings.thresholds:
             summary_rows.append(
@@ -319,7 +265,7 @@ def cmd_histogram(settings: Settings) -> int:
     return EXIT_OK
 
 
-def cmd_tails(settings: Settings) -> int:
+def cmd_tails(settings) -> int:
     """Confidence-level error of SCV on corner bumps rebuilt per delta.
 
     Emits the delta-level quantile error and the maximum error over the
@@ -327,20 +273,16 @@ def cmd_tails(settings: Settings) -> int:
     log(1/delta).  The quantile gets no exponent: a corner bump is hit
     with probability below delta, so its delta-level quantile is exactly
     the bump's integral and its exponent is -1/2 whatever the estimator.
+    `corner_bump` rejects settings outside the regime s < d/p.
     """
-    if not settings.s < settings.d / settings.p:
-        raise ConfigError(
-            f"tail campaign requires the low-smoothness regime s < d/p, "
-            f"got s={settings.s}, d/p={settings.d / settings.p:g}"
-        )
     out = settings.out or Path("tails.csv")
-    m = settings.m_list[0]
-    cfg = _estimator_config(settings, Method.SCV, m)
-    base = [Method.SCV.value, settings.s, settings.d, m, cfg.budget(settings.d)]
+    cfg = EstimatorConfig(method=Method.SCV, s=settings.s, m=settings.m,
+                          interpolation_mode=settings.mode)
+    base = [Method.SCV.value, settings.s, settings.d, settings.m, cfg.budget(settings.d)]
     summary_rows = []
     max_points = []
     for i, delta in enumerate(settings.delta_list):
-        f = corner_bump(settings.s, settings.d, settings.p, m, delta)
+        f = corner_bump(settings.s, settings.d, settings.p, settings.m, delta)
         sample = replicate(f, cfg, settings.reps, derive_seed(settings.seed, 3, i),
                            workers=settings.threads)
         e_max = float(abs(sample.errors).max())
@@ -354,7 +296,7 @@ def cmd_tails(settings: Settings) -> int:
     return EXIT_OK
 
 
-def cmd_verify(settings: Settings) -> int:
+def cmd_verify(settings) -> int:
     """Run both concentration-inequality suites; exit 2 on any violation."""
     lines = []
     failures = 0
@@ -383,43 +325,51 @@ def cmd_verify(settings: Settings) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+# rates and histogram run the same ensembles of the 2-d test function
+_ENSEMBLE_DEFAULTS = dict(seed=0, threads=1, methods=[Method.CV, Method.CV_MOM, Method.SCV],
+                          s=2, k=11, mode=DETERMINISTIC)
+
+# command -> (campaign, {setting: default}); the settings a campaign reads
 _COMMANDS = {
-    "rates": cmd_rates,
-    "histogram": cmd_histogram,
-    "tails": cmd_tails,
-    "verify": cmd_verify,
+    "rates": (cmd_rates, dict(_ENSEMBLE_DEFAULTS, m_list=[1, 2, 4, 8, 16, 32, 64], reps=1000)),
+    "histogram": (cmd_histogram, dict(_ENSEMBLE_DEFAULTS, m=4, reps=100_000,
+                                      thresholds=[2.5, 2.9], bins=50)),
+    "tails": (cmd_tails, dict(seed=0, threads=1, s=1, d=2, p=1.0, m=8, reps=10_000,
+                              delta_list=[0.1, 0.05, 0.02], mode=SHIFTED)),
+    "verify": (cmd_verify, dict(seed=0, trials=100_000)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ConfigError (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scvquad",
         description="Seeded quadrature experiments with CSV output.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
+    for name, (fn, defaults) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=fn.__doc__.splitlines()[0], allow_abbrev=False)
         cmd.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        cmd.add_argument("--seed", type=int, help="master seed (fallback: SCV_SEED env var)")
         cmd.add_argument("--out", metavar="PATH", help="output path")
-        cmd.add_argument("--threads", type=int, default=1, help="replication workers")
-        cmd.add_argument("--method", metavar="LIST", help="comma-separated method names")
-        cmd.add_argument("--s", type=int, help="interpolation order")
-        cmd.add_argument("--m", metavar="LIST", help="comma-separated grid sizes")
-        cmd.add_argument("--reps", type=int, help="replications per configuration")
-        cmd.add_argument("--k", type=int, help="median-of-means group count")
-        cmd.add_argument("--delta", metavar="LIST", help="comma-separated uncertainty levels")
-        cmd.add_argument("--mode", choices=[DETERMINISTIC, SHIFTED], help="interpolation mode")
-        cmd.add_argument("--trials", type=int, help="Monte Carlo trials for verify")
+        for setting in defaults:
+            flag, _, _, help_text = _SETTINGS[setting]
+            if flag:
+                cmd.add_argument(flag, dest=setting, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        settings = _settings(args)
-        return _COMMANDS[args.command](settings)
-    except (ConfigError, BudgetError, ValueError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](_settings(args))
+    except (ValueError, OSError) as exc:  # ConfigError and BudgetError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

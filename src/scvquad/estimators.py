@@ -139,7 +139,6 @@ class EstimateRun:
     value: float
     evals: int
     config: EstimatorConfig
-    seed: int
 
 
 def _stream(seed: int) -> np.random.Generator:
@@ -210,7 +209,7 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, method: Method, k: int) -> E
     gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ plan.strides])
     groups = (f(x) - gx).reshape(k, n1).tolist()
     value = int_g + statistics.median(math.fsum(g) / n1 for g in groups)
-    return EstimateRun(value=value, evals=evals, config=cfg, seed=cfg.seed)
+    return EstimateRun(value=value, evals=evals, config=cfg)
 
 
 def scv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
@@ -230,7 +229,7 @@ def scv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     gx = np.einsum("cjn,nc->cj", design, coeffs)
     per_cell = means + (fx - gx).mean(axis=1)
     value = math.fsum(per_cell.tolist()) / plan.n_cubes
-    return EstimateRun(value=value, evals=evals, config=cfg, seed=cfg.seed)
+    return EstimateRun(value=value, evals=evals, config=cfg)
 
 
 def classical_cv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
@@ -264,7 +263,7 @@ def stratified(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     u = rng.random((plan.n_cubes, plan.d))
     fx = f((u + plan.offsets) / plan.m)
     value = math.fsum(fx.tolist()) / plan.n_cubes
-    return EstimateRun(value=value, evals=cfg.budget(f.dim), config=cfg, seed=cfg.seed)
+    return EstimateRun(value=value, evals=cfg.budget(f.dim), config=cfg)
 
 
 def crude_mc(f: Integrand, n: int, seed: int = 0) -> EstimateRun:
@@ -274,8 +273,8 @@ def crude_mc(f: Integrand, n: int, seed: int = 0) -> EstimateRun:
     cfg = EstimatorConfig(method=Method.CRUDE, s=1, m=1, samples_per_cube=n, seed=seed)
     rng = _stream(seed)
     fx = f(rng.random((n, f.dim)))
-    value = math.fsum(np.atleast_1d(fx).tolist()) / n
-    return EstimateRun(value=value, evals=cfg.budget(f.dim), config=cfg, seed=seed)
+    value = math.fsum(fx.tolist()) / n
+    return EstimateRun(value=value, evals=cfg.budget(f.dim), config=cfg)
 
 
 _DISPATCH = {

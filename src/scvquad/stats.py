@@ -170,7 +170,7 @@ def histogram(sample: ErrorSample, bins: int) -> list[tuple[float, float, int]]:
 
 def tail_fraction(sample: ErrorSample, threshold: float) -> float:
     """Fraction of replications with absolute error strictly above the threshold."""
-    if threshold < 0.0:
+    if not threshold >= 0.0:  # also rejects nan, which no error exceeds
         raise ValueError(f"need threshold >= 0, got {threshold}")
     return float(np.mean(np.abs(sample.errors) > threshold))
 

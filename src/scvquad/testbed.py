@@ -34,7 +34,8 @@ class Integrand:
 
     Calls accept a single point of shape (d,) or a batch of shape (n, d);
     every row counts as one evaluation.  The counter is lock-protected so
-    concurrent callers can share one instance.
+    concurrent callers can share one instance.  `fn` must return n finite
+    values for n points; anything else raises ValueError.
     """
 
     def __init__(self, fn, dim: int, exact_integral: float | None = None, label: str = ""):
@@ -56,6 +57,10 @@ class Integrand:
         with self._lock:
             self._count += pts.shape[0]
         out = np.asarray(self._fn(pts), dtype=float)
+        if out.shape != (pts.shape[0],):
+            raise ValueError(f"{self!r} returned shape {out.shape} for {pts.shape[0]} points")
+        if not np.isfinite(out).all():
+            raise ValueError(f"{self!r} returned a non-finite value")
         return float(out[0]) if single else out
 
     @property

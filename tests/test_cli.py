@@ -1,6 +1,9 @@
 import csv
+import re
 
+import pytest
 
+from scvquad import cli
 from scvquad.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, RAW_HEADER, SUMMARY_HEADER, main
 
 
@@ -148,6 +151,8 @@ def test_bad_configs_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 3\n")
     assert main(["rates", "--config", str(bad)]) == EXIT_CONFIG
+    bad.write_text("thresholds = nan\n")
+    assert main(["histogram", "--config", str(bad)]) == EXIT_CONFIG  # before any replication
     capsys.readouterr()
 
 
@@ -159,3 +164,83 @@ def test_verify_exit_code_on_violation(monkeypatch, tmp_path):
     monkeypatch.setattr(stats, "hoeffding_bound", lambda p, b, delta: 0.05 * original(p, b, delta))
     code = main(["verify", "--trials", "2000"])
     assert code == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--s", "abc"],
+    ["rates", "--mode", "foo"],
+    ["rates", "--nosuch", "1"],
+    ["verify", "--se", "1"],  # no abbreviations: --se must not become --seed
+    ["nosuch"],
+    [],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    assert main(argv) == EXIT_CONFIG  # not argparse's SystemExit(2), which is EXIT_VERIFY
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_histogram_and_tails_take_one_grid_size(tmp_path, capsys):
+    assert main(["histogram", "--m", "2,8", "--reps", "5"]) == EXIT_CONFIG
+    assert "--m: this campaign takes one grid size" in capsys.readouterr().err
+    cfg = tmp_path / "tails.cfg"
+    cfg.write_text("m_list = 4,8\n")
+    assert main(["tails", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "m_list: this campaign takes one grid size" in capsys.readouterr().err
+
+
+def _declared(command, kind):
+    return {getattr(cli._SETTINGS[name], kind) for name in cli._COMMANDS[command][1]} - {None}
+
+
+def _undeclared(kind):
+    every = {getattr(setting, kind) for setting in cli._SETTINGS.values()} - {None}
+    return [(command, option) for command in cli._COMMANDS
+            for option in sorted(every - _declared(command, kind))]
+
+
+@pytest.mark.parametrize("command,flag", _undeclared("flag"))
+def test_undeclared_flag_exits_one(command, flag, capsys):
+    assert main([command, flag, "1"]) == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key", _undeclared("key"))
+def test_undeclared_file_key_exits_one(command, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"{command} takes no key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_exactly_the_declared_flags(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert listed == _declared(command, "flag") | {"--help", "--config", "--out"}
+
+
+class _Reads:
+    """Settings that record which names a campaign reads."""
+
+    def __init__(self, values):
+        self.values, self.read = values, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self.values[name]
+
+
+# small enough that every campaign finishes in well under a second
+_SMALL = dict(methods=[cli.Method.SCV], m_list=[1], m=2, reps=3, delta_list=[0.2, 0.1],
+              trials=50)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_campaign_reads_every_declared_setting(command, tmp_path, capsys):
+    run, defaults = cli._COMMANDS[command]
+    settings = _Reads({name: _SMALL.get(name, value) for name, value in defaults.items()})
+    settings.values["out"] = tmp_path / "out.csv"
+    run(settings)
+    assert settings.read == set(defaults) | {"out"}

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,11 +56,24 @@ def test_subcube_index_validation():
         subcube_indices(2, 0)
 
 
-def test_subcube_volumes_partition_unity():
+def test_subcube_cells_tile_the_cube():
+    """Every point of [0,1)^d lies in exactly one cell (i + [0,1]^d)/m.
+
+    The cell is found as the estimators find it: i = floor(x*m) clipped to
+    m-1, and its row in `subcube_indices` is the lexicographic ravel
+    i @ m**(d-1, ..., 0).
+    """
+    rng = np.random.default_rng(5)
     for m, d in [(1, 1), (2, 3), (3, 2), (4, 2), (7, 1)]:
-        assert subcube_indices(m, d).shape == (m**d, d)
-        total = sum(Fraction(1, m**d) for _ in range(m**d))
-        assert total == 1
+        cells = subcube_indices(m, d)
+        assert cells.shape == (m**d, d)
+        x = np.vstack([rng.random((200, d)), np.zeros((1, d)), np.full((1, d), 1 - 2**-53)])
+        i = np.minimum(np.floor(x * m).astype(np.int64), m - 1)
+        matches = (cells[None, :, :] == i[:, None, :]).all(axis=2)
+        assert (matches.sum(axis=1) == 1).all()
+        rows = i @ m ** np.arange(d - 1, -1, -1)
+        assert np.array_equal(matches.argmax(axis=1), rows)
+        assert np.all((cells[rows] <= x * m) & (x * m <= cells[rows] + 1))
 
 
 def test_subcube_indices_lexicographic():

@@ -164,6 +164,8 @@ def test_tail_fraction_basics():
     assert tail_fraction(sample, 1.0) == 0.5
     with pytest.raises(ValueError):
         tail_fraction(sample, -1.0)
+    with pytest.raises(ValueError):
+        tail_fraction(sample, math.nan)
 
 
 def test_hoeffding_bound_example():

@@ -75,6 +75,24 @@ def test_integrand_counter_and_shapes():
         f(np.zeros((3, 5)))
 
 
+def test_integrand_rejects_wrongly_shaped_output():
+    scalar = Integrand(lambda pts: 1.0, dim=2)
+    with pytest.raises(ValueError, match=r"shape \(\) for 16 points"):
+        scalar(np.full((16, 2), 0.5))
+    column = Integrand(lambda pts: pts[:, :1], dim=2)
+    with pytest.raises(ValueError, match=r"shape \(4, 1\)"):
+        column(np.full((4, 2), 0.5))
+
+
+def test_integrand_rejects_non_finite_output():
+    f = Integrand(lambda pts: np.where(pts[:, 0] < 0.5, 1.0, np.nan), dim=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        scv(f, EstimatorConfig(method=Method.SCV, s=2, m=4, seed=1))
+    g = Integrand(lambda pts: 1.0 / pts[:, 0], dim=1)
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
+        g(np.array([0.0]))
+
+
 def test_counter_under_scv_matches_budget():
     f = make_benchmark()
     cfg = EstimatorConfig(method=Method.SCV, s=2, m=4, seed=3)
