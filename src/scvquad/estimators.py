@@ -146,14 +146,23 @@ def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _mapped_nodes(nodes: np.ndarray, offsets: np.ndarray, m: int) -> np.ndarray:
+    """Every cell's nodes in global coordinates: cells in lexicographic
+    order, nodes in node order within each cell, as one (m^d * n0, d) array."""
+    return ((nodes[None, :, :] + offsets[:, None, :]) / m).reshape(-1, nodes.shape[1])
+
+
 class _Plan:
-    """Shared geometry for one (s, d, m): nodes, solver, cell offsets."""
+    """Shared geometry for one (s, d, m): nodes, solver, cell offsets and
+    the deterministic nodes mapped into every cell (read-only)."""
 
     def __init__(self, s: int, d: int, m: int):
         self.s, self.d, self.m = s, d, m
         self.base = LocalInterpolator(regular_nodes(s, d))
         self.offsets = subcube_indices(m, d).astype(float)
         self.n_cubes = self.offsets.shape[0]
+        self.node_points = _mapped_nodes(self.base.nodes.points, self.offsets, m)
+        self.node_points.flags.writeable = False
         # lexicographic ravel strides for locating a sample's cell
         self.strides = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
@@ -182,11 +191,11 @@ def _fit(f: Integrand, cfg: EstimatorConfig, method: Method):
     plan = _plan(cfg.s, f.dim, cfg.m)
     evals = cfg.budget(f.dim)  # raises BudgetError before any evaluation
     rng = _stream(cfg.seed)
-    solver = plan.base
+    solver, pts = plan.base, plan.node_points
     if cfg.interpolation_mode == SHIFTED:
         solver = LocalInterpolator(shifted_nodes(plan.base.nodes, rng.random(plan.d)))
-    pts = (solver.nodes.points[None, :, :] + plan.offsets[:, None, :]) / plan.m
-    vals = f(pts.reshape(-1, plan.d)).reshape(plan.n_cubes, -1)
+        pts = _mapped_nodes(solver.nodes.points, plan.offsets, plan.m)
+    vals = f(pts).reshape(plan.n_cubes, -1)
     coeffs = solver.solve(vals.T)
     return evals, plan, rng, solver, coeffs, solver.moments @ coeffs
 
@@ -204,8 +213,9 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, method: Method, k: int) -> E
 
     n1 = (cfg.resolved_samples_per_cube(f.dim) * plan.n_cubes) // k
     x = rng.random((k * n1, plan.d))
-    cells = np.minimum((x * plan.m).astype(np.int64), plan.m - 1)
-    local = x * plan.m - cells
+    xm = x * plan.m
+    cells = np.minimum(xm.astype(np.int64), plan.m - 1)
+    local = xm - cells
     gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ plan.strides])
     groups = (f(x) - gx).reshape(k, n1).tolist()
     value = int_g + statistics.median(math.fsum(g) / n1 for g in groups)

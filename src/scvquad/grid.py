@@ -87,18 +87,75 @@ def total_degree_exponents(s: int, d: int) -> np.ndarray:
     return _exponent_array(s, d)
 
 
-def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Collocation matrix ``A[i, j] = points[i] ** exponents[j]`` (monomials).
+# Rows per block of a design-matrix build: a block of columns stays in
+# cache while each of its monomials is multiplied out of an earlier one.
+_BLOCK_ROWS = 4096
 
-    `points` has shape (n, d) and `exponents` shape (n0, d); the result is
-    (n, n0).
+
+@lru_cache(maxsize=64)
+def _multiply_plan(d: int, data: bytes) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """How to build each monomial column from an earlier one.
+
+    `data` holds an (n0, d) int64 exponent array.  Returns the rows whose
+    exponent is zero (columns of ones) and, for every other row r, a triple
+    ``(r, parent, j)`` where j is the last nonzero coordinate of row r and
+    row `parent` is row r less one in coordinate j.  Raises ValueError when
+    a parent is not an earlier row, as happens for any row with a negative
+    exponent (its chain of parents never reaches the zero row).
     """
+    rows = np.frombuffer(data, dtype=np.int64).reshape(-1, d).tolist()
+    index: dict[tuple[int, ...], int] = {}
+    ones, steps = [], []
+    for r, alpha in enumerate(map(tuple, rows)):
+        nonzero = [j for j, a in enumerate(alpha) if a]
+        if nonzero:
+            j = nonzero[-1]
+            parent = index.get(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :])
+            if parent is None:
+                raise ValueError(
+                    f"exponent row {r} = {alpha} has no earlier row one lower in coordinate {j}"
+                )
+            steps.append((r, parent, j))
+        else:
+            ones.append(r)
+        index[alpha] = r
+    return tuple(ones), tuple(steps)
+
+
+def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Design matrix ``A[i, r] = prod_j x_ij^alpha_rj`` of the monomials x^alpha.
+
+    `points` has shape (n, d) and `exponents` integer shape (n0, d); the
+    result is a C-contiguous (n, n0) float64 array.  Each column is an
+    earlier column times one coordinate, one multiply per monomial, so every
+    nonzero exponent row must have its parent (itself less one in its last
+    nonzero coordinate) in an earlier row, as :func:`total_degree_exponents`
+    orders them; otherwise ValueError.
+    """
+    exponents = np.asarray(exponents)
     points = np.asarray(points, dtype=float)
+    if exponents.ndim != 2 or exponents.dtype.kind not in "iu":
+        raise ValueError(
+            f"exponents must be an (n0, d) integer array, got {exponents.dtype} "
+            f"of shape {exponents.shape}"
+        )
     if points.ndim != 2 or points.shape[1] != exponents.shape[1]:
         raise ValueError(
             f"points must have shape (n, {exponents.shape[1]}), got {points.shape}"
         )
-    return np.prod(points[:, None, :] ** exponents[None, :, :], axis=-1)
+    data = np.ascontiguousarray(exponents, dtype=np.int64).tobytes()
+    ones, steps = _multiply_plan(exponents.shape[1], data)
+    out = np.empty((points.shape[0], exponents.shape[0]))
+    # a fancy-index fill, out[:, ones], slowed two-thread ensembles of small
+    # estimates by 10-16 %; basic indexing did not
+    for r in ones:
+        out[:, r] = 1.0
+    for start in range(0, len(out), _BLOCK_ROWS):
+        block = out[start : start + _BLOCK_ROWS]
+        x = points[start : start + _BLOCK_ROWS]
+        for r, parent, j in steps:
+            np.multiply(block[:, parent], x[:, j], out=block[:, r])
+    return out
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

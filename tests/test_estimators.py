@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scvquad.estimators import (
+    DETERMINISTIC,
+    SHIFTED,
     BudgetError,
     EstimatorConfig,
     Method,
@@ -228,3 +232,34 @@ def test_unbiasedness_smoke():
     sample = replicate(f, cfg, 4000, master_seed=314)
     se = sample.errors.std(ddof=1) / math.sqrt(4000)
     assert abs(sample.errors.mean()) <= 4 * se
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    method=st.sampled_from([Method.SCV, Method.CV, Method.CV_MOM]),
+    s=st.integers(1, 4),
+    d=st.integers(1, 3),
+    m=st.integers(1, 4),
+    mode=st.sampled_from([DETERMINISTIC, SHIFTED]),
+    seed=st.integers(0, 2**64 - 1),
+    a=st.floats(-2.0, 2.0),
+    b=st.floats(-2.0, 2.0),
+)
+def test_invariants_on_random_configs(method, s, d, m, mode, seed, a, b):
+    """Exactness below degree s, the evaluation budget and bitwise
+    determinism for every method; linearity for SCV and CV."""
+    k = min(11, poly_dim(s, d) * m**d)
+    cfg = EstimatorConfig(method=method, s=s, m=m, k=k, interpolation_mode=mode, seed=seed)
+    poly = random_poly(s, d, seed=seed % 1000)
+    first = run(poly, cfg)
+    assert poly.evals == first.evals == cfg.budget(d)
+    assert abs(first.value - poly.exact_integral) <= 1e-10
+    assert run(poly, cfg).value == first.value
+    if method is Method.CV_MOM:
+        return
+    # two integrands the interpolant does not reproduce, on one stream
+    f = random_poly(s + 2, d, seed=seed % 997)
+    g = Integrand(lambda pts: np.exp(pts.sum(axis=1)), dim=d)
+    h = Integrand(lambda pts: a * f(pts) + b * g(pts), dim=d)
+    qf, qg, qh = (run(fn, cfg).value for fn in (f, g, h))
+    assert qh == pytest.approx(a * qf + b * qg, rel=1e-12, abs=1e-12)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from scvquad import grid
 from scvquad.grid import (
     NodeSet,
     UnisolvenceError,
@@ -152,4 +153,46 @@ def test_monomial_matrix_shape_and_values():
     exps = total_degree_exponents(2, 2)
     pts = np.array([[0.5, 0.25]])
     row = monomial_matrix(pts, exps)[0]
-    assert np.allclose(row, [1.0, 0.5, 0.25], atol=0)
+    assert row.tolist() == [1.0, 0.5, 0.25]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_monomial_matrix_matches_power_table(s, d):
+    """Agrees with the (n, n0, d) power table and product it replaced.
+
+    Bitwise at s <= 2, where every factor is 1 or one coordinate; within
+    4 ulp above (2 measured), because x^a is built by a - 1 rounded
+    multiplies instead of one pow and the factors combine in another order.
+    More rows than one build block, with coordinates of exactly 0 and 1.
+    """
+    rng = np.random.default_rng(10 * s + d)
+    exps = total_degree_exponents(s, d)
+    pts = rng.random((grid._BLOCK_ROWS + 101, d))
+    pts[rng.random(pts.shape) < 0.05] = 0.0
+    pts[rng.random(pts.shape) < 0.05] = 1.0
+    got = monomial_matrix(pts, exps)
+    want = np.prod(pts[:, None, :] ** exps[None, :, :], axis=-1)
+    assert got.shape == (len(pts), len(exps))
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    if s <= 2:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    # any order by degree is a valid build order, and gives the same columns
+    perm = np.lexsort((rng.random(len(exps)), exps.sum(axis=1)))
+    assert np.array_equal(monomial_matrix(pts, exps[perm]), got[:, perm])
+
+
+@pytest.mark.parametrize(
+    "exps,message",
+    [
+        ([[1, 0]], "no earlier row"),  # parent (0, 0) missing
+        ([[0, 0], [0, 2]], "no earlier row"),  # parent (0, 1) missing
+        ([[0, 0], [0, 1], [1, 1], [1, 0]], "no earlier row"),  # (1, 0) comes after (1, 1)
+        ([[0, 0], [0, -1]], "no earlier row"),  # negative: parents never reach 0
+    ],
+)
+def test_monomial_matrix_rejects_rows_without_an_earlier_parent(exps, message):
+    with pytest.raises(ValueError, match=message):
+        monomial_matrix(np.full((3, 2), 0.5), np.array(exps))
