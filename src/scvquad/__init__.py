@@ -12,12 +12,10 @@ from .estimators import (
     EstimatorConfig,
     Method,
     classical_cv,
-    crude_mc,
     cv_mom,
     run,
     scv,
     stratified,
-    subdivisions_for_budget,
 )
 from .grid import (
     NodeSet,
@@ -56,7 +54,6 @@ __all__ = [
     "bump",
     "classical_cv",
     "corner_bump",
-    "crude_mc",
     "cv_mom",
     "fit_rate",
     "histogram",
@@ -70,7 +67,6 @@ __all__ = [
     "shifted_nodes",
     "stratified",
     "subcube_indices",
-    "subdivisions_for_budget",
     "tail_fraction",
     "test_function_2d",
     "verify_hoeffding_p",

@@ -72,8 +72,7 @@ def _seed(text: str) -> int:
 
 
 def _methods(text: str) -> list[Method]:
-    # crude Monte Carlo takes an explicit sample count, not a grid, so no campaign runs it
-    choices = {m.value: m for m in Method if m is not Method.CRUDE}
+    choices = {m.value: m for m in Method}
     names = [name.strip().lower() for name in text.split(",") if name.strip()]
     if not names or any(name not in choices for name in names):
         raise ValueError(f"methods must be a nonempty list of {', '.join(choices)}, got {text!r}")

@@ -1,4 +1,4 @@
-"""The five quadrature methods.
+"""The four quadrature methods.
 
 Stratified control variates (SCV) interpolates the integrand on every
 subcube of the m-grid, integrates those patches exactly, and corrects each
@@ -6,7 +6,7 @@ patch mean with a handful of uniform residual samples drawn inside the
 same subcube.  Classical control variates (CV) uses the identical
 piecewise interpolant but samples the residual iid over the whole cube;
 CV+MoM replaces the residual mean by a median of group means; plain
-stratified sampling and crude Monte Carlo complete the line-up.
+stratified sampling completes the line-up.
 
 Reproducibility contract: each invocation consumes a single counter-based
 stream derived from its 64-bit seed.  The draw order is fixed (shift
@@ -42,9 +42,7 @@ __all__ = [
     "classical_cv",
     "cv_mom",
     "stratified",
-    "crude_mc",
     "run",
-    "subdivisions_for_budget",
 ]
 
 DETERMINISTIC = "deterministic"
@@ -59,7 +57,6 @@ class Method(str, Enum):
     CV = "cv"
     CV_MOM = "cv_mom"
     STRAT = "strat"
-    CRUDE = "crude"
 
 
 class BudgetError(ValueError):
@@ -70,17 +67,14 @@ class BudgetError(ValueError):
 class EstimatorConfig:
     """Parameters of one estimator invocation.
 
-    `samples_per_cube` defaults to n0(s, d), which splits the evaluation
-    budget evenly between interpolation and residual sampling.  `k` is the
-    number of median-of-means groups and only matters for CV_MOM.  The
-    dimension is not stored here; it comes from the integrand.
+    `k` is the number of median-of-means groups and only matters for
+    CV_MOM.  The dimension is not stored here; it comes from the integrand.
     """
 
     method: Method
     s: int
     m: int
     k: int = 11
-    samples_per_cube: int | None = None
     interpolation_mode: str = DETERMINISTIC
     seed: int = 0
 
@@ -92,8 +86,6 @@ class EstimatorConfig:
             raise ValueError(f"need m >= 1, got m={self.m}")
         if self.k < 1:
             raise ValueError(f"need k >= 1, got k={self.k}")
-        if self.samples_per_cube is not None and self.samples_per_cube < 1:
-            raise ValueError(f"need samples_per_cube >= 1, got {self.samples_per_cube}")
         if self.interpolation_mode not in _MODES:
             raise ValueError(
                 f"interpolation_mode must be one of {_MODES}, got {self.interpolation_mode!r}"
@@ -101,35 +93,26 @@ class EstimatorConfig:
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
-    def resolved_samples_per_cube(self, d: int) -> int:
-        if self.samples_per_cube is not None:
-            return self.samples_per_cube
-        return poly_dim(self.s, d)
-
     def budget(self, d: int) -> int:
         """Exact number of integrand evaluations the method will spend.
 
-        SCV and CV: n0*m^d node evaluations plus samples_per_cube*m^d
-        residual samples (2*n0*m^d at the default).  CV_MOM: node
-        evaluations plus k*floor(samples_per_cube*m^d / k) residual
-        samples.  STRAT: m^d.  CRUDE: samples_per_cube*m^d.
+        SCV and CV: n0*m^d node evaluations plus n0*m^d residual samples.
+        CV_MOM: node evaluations plus k*floor(n0*m^d / k) residual samples.
+        STRAT: m^d.
         """
         md = self.m**d
-        n0 = poly_dim(self.s, d)
-        spc = self.resolved_samples_per_cube(d)
-        if self.method in (Method.SCV, Method.CV):
-            return n0 * md + spc * md
-        if self.method is Method.CV_MOM:
-            n1 = (spc * md) // self.k
-            if n1 < 1:
-                raise BudgetError(
-                    f"median-of-means needs samples_per_cube*m^d >= k, "
-                    f"got {spc}*{md} < {self.k}"
-                )
-            return n0 * md + self.k * n1
         if self.method is Method.STRAT:
             return md
-        return spc * md  # CRUDE
+        n0 = poly_dim(self.s, d)
+        if self.method is Method.CV_MOM:
+            n1 = (n0 * md) // self.k
+            if n1 < 1:
+                raise BudgetError(
+                    f"median-of-means needs n0*m^d >= k residual samples, "
+                    f"got {n0}*{md} < {self.k}"
+                )
+            return n0 * md + self.k * n1
+        return 2 * n0 * md
 
 
 @dataclass(frozen=True)
@@ -138,7 +121,6 @@ class EstimateRun:
 
     value: float
     evals: int
-    config: EstimatorConfig
 
 
 def _stream(seed: int) -> np.random.Generator:
@@ -205,13 +187,13 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, method: Method, k: int) -> E
 
     The residual f - g is sampled at iid uniform points of the whole cube
     and split in draw order into k consecutive groups of
-    ``n1 = floor(samples_per_cube * m^d / k)``; each group mean is
+    ``n1 = floor(n0 * m^d / k)``; each group mean is
     ``fsum(group) / n1``.  With k = 1 this is classical control variates.
     """
     evals, plan, rng, solver, coeffs, means = _fit(f, cfg, method)
     int_g = math.fsum(means.tolist()) / plan.n_cubes
 
-    n1 = (cfg.resolved_samples_per_cube(f.dim) * plan.n_cubes) // k
+    n1 = (len(solver.nodes) * plan.n_cubes) // k
     x = rng.random((k * n1, plan.d))
     xm = x * plan.m
     cells = np.minimum(xm.astype(np.int64), plan.m - 1)
@@ -219,27 +201,27 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, method: Method, k: int) -> E
     gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ plan.strides])
     groups = (f(x) - gx).reshape(k, n1).tolist()
     value = int_g + statistics.median(math.fsum(g) / n1 for g in groups)
-    return EstimateRun(value=value, evals=evals, config=cfg)
+    return EstimateRun(value=value, evals=evals)
 
 
 def scv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     """Stratified control variates.
 
-    ``m^-d * sum_i (a_i + mean_j [f - g_i](X_i^(j)))`` with the X_i^(j)
-    uniform on cell i.  Exact on polynomials of total degree < s, linear
-    and unbiased.  In shifted mode one shift is drawn first and shared by
-    all cells.
+    ``m^-d * sum_i (a_i + mean_j [f - g_i](X_i^(j)))`` with n0 points
+    X_i^(j) uniform on cell i.  Exact on polynomials of total degree < s,
+    linear and unbiased.  In shifted mode one shift is drawn first and
+    shared by all cells.
     """
     evals, plan, rng, solver, coeffs, means = _fit(f, cfg, Method.SCV)
-    spc = cfg.resolved_samples_per_cube(f.dim)
-    u = rng.random((plan.n_cubes, spc, plan.d))
+    n0 = len(solver.nodes)
+    u = rng.random((plan.n_cubes, n0, plan.d))
     x = (u + plan.offsets[:, None, :]) / plan.m
-    fx = f(x.reshape(-1, plan.d)).reshape(plan.n_cubes, spc)
-    design = solver.design_matrix(u.reshape(-1, plan.d)).reshape(plan.n_cubes, spc, -1)
+    fx = f(x.reshape(-1, plan.d)).reshape(plan.n_cubes, n0)
+    design = solver.design_matrix(u.reshape(-1, plan.d)).reshape(plan.n_cubes, n0, -1)
     gx = np.einsum("cjn,nc->cj", design, coeffs)
     per_cell = means + (fx - gx).mean(axis=1)
     value = math.fsum(per_cell.tolist()) / plan.n_cubes
-    return EstimateRun(value=value, evals=evals, config=cfg)
+    return EstimateRun(value=value, evals=evals)
 
 
 def classical_cv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
@@ -257,10 +239,10 @@ def cv_mom(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     """Control variates with a median-of-means residual estimate.
 
     The residual samples are split into k consecutive groups of size
-    ``n1 = floor(samples_per_cube * m^d / k)`` and the median of the group
-    means is added to the interpolant's integral.  Non-linear and biased;
-    requires ``samples_per_cube * m^d >= k``.  An even k takes the mean of
-    the two central order statistics.
+    ``n1 = floor(n0 * m^d / k)`` and the median of the group means is
+    added to the interpolant's integral.  Non-linear and biased; requires
+    ``n0 * m^d >= k``.  An even k takes the mean of the two central order
+    statistics.
     """
     return _whole_cube(f, cfg, Method.CV_MOM, cfg.k)
 
@@ -273,18 +255,7 @@ def stratified(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     u = rng.random((plan.n_cubes, plan.d))
     fx = f((u + plan.offsets) / plan.m)
     value = math.fsum(fx.tolist()) / plan.n_cubes
-    return EstimateRun(value=value, evals=cfg.budget(f.dim), config=cfg)
-
-
-def crude_mc(f: Integrand, n: int, seed: int = 0) -> EstimateRun:
-    """Crude Monte Carlo: mean of n iid uniform evaluations."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    cfg = EstimatorConfig(method=Method.CRUDE, s=1, m=1, samples_per_cube=n, seed=seed)
-    rng = _stream(seed)
-    fx = f(rng.random((n, f.dim)))
-    value = math.fsum(fx.tolist()) / n
-    return EstimateRun(value=value, evals=cfg.budget(f.dim), config=cfg)
+    return EstimateRun(value=value, evals=cfg.budget(f.dim))
 
 
 _DISPATCH = {
@@ -297,24 +268,4 @@ _DISPATCH = {
 
 def run(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     """Dispatch to the estimator named by ``cfg.method``."""
-    if cfg.method is Method.CRUDE:
-        n = cfg.resolved_samples_per_cube(f.dim) * cfg.m**f.dim
-        return crude_mc(f, n, cfg.seed)
     return _DISPATCH[cfg.method](f, cfg)
-
-
-def subdivisions_for_budget(n: int, s: int, d: int) -> int:
-    """Largest grid parameter m with ``2*n0(s,d)*m^d <= n``.
-
-    The standard way to turn a target evaluation budget into a grid;
-    requires ``n >= 2*n0``.
-    """
-    n0 = poly_dim(s, d)
-    if n < 2 * n0:
-        raise BudgetError(f"budget n={n} is below the minimum 2*n0 = {2 * n0}")
-    m = max(1, int((n / (2.0 * n0)) ** (1.0 / d)))
-    while 2 * n0 * (m + 1) ** d <= n:
-        m += 1
-    while m > 1 and 2 * n0 * m**d > n:
-        m -= 1
-    return m

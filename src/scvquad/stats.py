@@ -125,9 +125,7 @@ def prob_error(sample: ErrorSample, delta: float) -> float:
 class RateFit:
     """Least-squares power-law fit of error against budget, in log space."""
 
-    points: tuple[tuple[float, float], ...]
     slope: float
-    intercept: float
     residual: float
 
 
@@ -147,7 +145,7 @@ def fit_rate(pairs) -> RateFit:
     y = np.log(arr[:, 1])
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(points=points, slope=float(slope), intercept=float(intercept), residual=residual)
+    return RateFit(slope=float(slope), residual=residual)
 
 
 def histogram(sample: ErrorSample, bins: int) -> list[tuple[float, float, int]]:
@@ -194,7 +192,7 @@ class UniformBounded:
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         return rng.uniform(self.low, self.high, size)
 
 
@@ -208,7 +206,7 @@ class Rademacher:
     def mean(self) -> float:
         return 0.0
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         return self.scale * (2.0 * rng.integers(0, 2, size) - 1.0)
 
 
@@ -222,8 +220,12 @@ class Constant:
     def mean(self) -> float:
         return self.value
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         return np.full(size, self.value)
+
+
+# centered unit-bound draws for verify_hoeffding_p, scaled by b per column
+_FAMILIES = {"uniform": UniformBounded(-1.0, 1.0), "rademacher": Rademacher(1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +256,10 @@ def hoeffding_bound(p: float, b, delta: float) -> float:
 class HoeffdingReport:
     """Monte Carlo check of the p-norm Hoeffding bound for one configuration."""
 
-    p: float
     delta: float
     bound: float
     empirical_fail_rate: float
     trials: int
-    n: int
-    family: str
     label: str = ""
 
     @property
@@ -285,35 +284,25 @@ def verify_hoeffding_p(
     fraction of trials whose mean deviates beyond the bound.  The bound
     guarantees a fail rate of at most delta.
     """
-    if family not in ("uniform", "rademacher"):
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     bound = hoeffding_bound(p, b, delta)
     b = np.asarray(b, dtype=float)
     n = b.size
+    dist = _FAMILIES[family]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
     fails = 0
     done = 0
     while done < trials:
         rows = min(rows_per_chunk, trials - done)
-        if family == "uniform":
-            z = rng.uniform(-1.0, 1.0, (rows, n)) * b
-        else:
-            z = (2.0 * rng.integers(0, 2, (rows, n)) - 1.0) * b
+        z = dist.sample(rng, (rows, n)) * b
         fails += int(np.count_nonzero(np.abs(z.mean(axis=1)) > bound))
         done += rows
-    return HoeffdingReport(
-        p=p,
-        delta=delta,
-        bound=bound,
-        empirical_fail_rate=fails / trials,
-        trials=trials,
-        n=n,
-        family=family,
-        label=label,
-    )
+    return HoeffdingReport(delta=delta, bound=bound, empirical_fail_rate=fails / trials,
+                           trials=trials, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +326,10 @@ class MZReport:
     fields carry delta-method estimates of the Monte Carlo noise.
     """
 
-    q: float
     lhs: float
     rhs: float
     lhs_stderr: float
     rhs_stderr: float
-    trials: int
-    n: int
     label: str = ""
 
     def satisfied(self, sigmas: float = 3.0) -> bool:
@@ -394,16 +380,7 @@ def verify_mz(q: float, dists, trials: int = 100_000, seed: int = 0, label: str 
         rhs = c / n * total ** (1.0 / qp)
         grads = c / n * total ** (1.0 / qp - 1.0) * norms ** (qp - 1.0)
         rhs_se = float(np.sqrt(np.sum((grads * norm_ses) ** 2)))
-    return MZReport(
-        q=q,
-        lhs=lhs,
-        rhs=rhs,
-        lhs_stderr=lhs_se,
-        rhs_stderr=rhs_se,
-        trials=trials,
-        n=n,
-        label=label,
-    )
+    return MZReport(lhs=lhs, rhs=rhs, lhs_stderr=lhs_se, rhs_stderr=rhs_se, label=label)
 
 
 # ---------------------------------------------------------------------------

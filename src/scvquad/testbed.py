@@ -32,7 +32,7 @@ __all__ = [
 class Integrand:
     """A d-variate function on the unit cube with an evaluation counter.
 
-    Calls accept a single point of shape (d,) or a batch of shape (n, d);
+    Calls take a batch of points of shape (n, d) and return shape (n,);
     every row counts as one evaluation.  The counter is lock-protected so
     concurrent callers can share one instance.  `fn` must return n finite
     values for n points; anything else raises ValueError.
@@ -50,27 +50,21 @@ class Integrand:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
+        if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (n, {self.dim}), got {x.shape}")
         with self._lock:
-            self._count += pts.shape[0]
-        out = np.asarray(self._fn(pts), dtype=float)
-        if out.shape != (pts.shape[0],):
-            raise ValueError(f"{self!r} returned shape {out.shape} for {pts.shape[0]} points")
+            self._count += x.shape[0]
+        out = np.asarray(self._fn(x), dtype=float)
+        if out.shape != (x.shape[0],):
+            raise ValueError(f"{self!r} returned shape {out.shape} for {x.shape[0]} points")
         if not np.isfinite(out).all():
             raise ValueError(f"{self!r} returned a non-finite value")
-        return float(out[0]) if single else out
+        return out
 
     @property
     def evals(self) -> int:
         with self._lock:
             return self._count
-
-    def reset_count(self) -> None:
-        with self._lock:
-            self._count = 0
 
     def __repr__(self) -> str:
         return f"Integrand({self.label or 'anonymous'}, dim={self.dim})"

@@ -144,6 +144,7 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
 
 def test_bad_configs_exit_one(tmp_path, capsys):
     assert main(["rates", "--method", "nosuch"]) == EXIT_CONFIG
+    assert main(["rates", "--method", "crude"]) == EXIT_CONFIG
     assert main(["rates", "--reps", "0"]) == EXIT_CONFIG
     assert main(["rates", "--m", "0", "--reps", "5"]) == EXIT_CONFIG
     missing = tmp_path / "missing.cfg"

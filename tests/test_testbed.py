@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scvquad.estimators import EstimatorConfig, Method, crude_mc, scv
+from scvquad.estimators import EstimatorConfig, Method, scv, stratified
 from scvquad.grid import poly_dim
 from scvquad.testbed import (
     BumpSpec,
@@ -29,14 +29,14 @@ def test_scaling_constant_against_extended_precision():
     mpmath.mp.dps = 50
     oracle = 75 / ((mpmath.e**15 - 1) * (1 - mpmath.e**-5))
     f = make_benchmark()
-    c = float(f(np.array([0.0, 0.0])))  # f(0,0) = c
+    c = f(np.array([[0.0, 0.0]]))[0]  # f(0,0) = c
     assert c == pytest.approx(float(oracle), rel=1e-14)
     assert c == pytest.approx(2.3098e-5, rel=1e-4)
 
 
 def test_corner_ratio_eliminates_constant():
     f = make_benchmark()
-    ratio = float(f(np.array([1.0, 0.0]))) / float(f(np.array([0.0, 1.0])))
+    ratio = f(np.array([[1.0, 0.0]]))[0] / f(np.array([[0.0, 1.0]]))[0]
     assert ratio == pytest.approx(math.exp(20.0), rel=1e-12)
 
 
@@ -57,22 +57,24 @@ def test_poly_integrand_trivial_cases():
 def test_random_poly_matches_direct_moment_sum():
     f = random_poly(3, 2, seed=123)
     g = random_poly(3, 2, seed=123)
-    x = np.array([0.3, 0.8])
-    assert float(f(x)) == float(g(x))
+    x = np.array([[0.3, 0.8]])
+    assert f(x)[0] == g(x)[0]
     assert f.exact_integral == g.exact_integral
 
 
 def test_integrand_counter_and_shapes():
     f = make_benchmark()
     assert f.evals == 0
-    f(np.array([0.1, 0.2]))
+    assert f(np.array([[0.1, 0.2]])).shape == (1,)
     assert f.evals == 1
-    f(np.random.default_rng(0).random((17, 2)))
+    assert f(np.random.default_rng(0).random((17, 2))).shape == (17,)
     assert f.evals == 18
-    f.reset_count()
-    assert f.evals == 0
+    assert make_benchmark().evals == 0  # each integrand counts its own calls
     with pytest.raises(ValueError):
         f(np.zeros((3, 5)))
+    with pytest.raises(ValueError):
+        f(np.array([0.1, 0.2]))  # one point is a (1, d) batch, not a (d,) vector
+    assert f.evals == 18
 
 
 def test_integrand_rejects_wrongly_shaped_output():
@@ -90,7 +92,7 @@ def test_integrand_rejects_non_finite_output():
         scv(f, EstimatorConfig(method=Method.SCV, s=2, m=4, seed=1))
     g = Integrand(lambda pts: 1.0 / pts[:, 0], dim=1)
     with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
-        g(np.array([0.0]))
+        g(np.array([[0.0]]))
 
 
 def test_counter_under_scv_matches_budget():
@@ -119,19 +121,19 @@ def test_bump_center_and_halfway_values():
     spec = BumpSpec(s=2, d=2, p=1.5, sigma=0.25, center=(0.5, 0.5))
     f = bump(spec)
     height = spec.sigma ** (spec.s - spec.d / spec.p)
-    assert float(f(np.array([0.5, 0.5]))) == pytest.approx(height, rel=1e-13)
+    assert f(np.array([[0.5, 0.5]]))[0] == pytest.approx(height, rel=1e-13)
     # normalized profile value is exactly 1 at the center
-    assert float(f(np.array([0.5, 0.5]))) / height == pytest.approx(1.0, abs=1e-13)
+    assert f(np.array([[0.5, 0.5]]))[0] / height == pytest.approx(1.0, abs=1e-13)
     # at radius sigma/2 the profile is (3/4)^s
-    x = np.array([0.5 + spec.sigma / 2, 0.5])
-    assert float(f(x)) == pytest.approx(height * 0.75**spec.s, rel=1e-12)
+    x = np.array([[0.5 + spec.sigma / 2, 0.5]])
+    assert f(x)[0] == pytest.approx(height * 0.75**spec.s, rel=1e-12)
 
 
 def test_bump_vanishes_outside_support():
     spec = BumpSpec(s=1, d=2, p=1.0, sigma=0.1, center=(0.5, 0.5))
     f = bump(spec)
-    assert float(f(np.array([0.5 + 0.11, 0.5]))) == 0.0
-    assert float(f(np.array([0.0, 0.0]))) == 0.0
+    assert f(np.array([[0.5 + 0.11, 0.5]]))[0] == 0.0
+    assert f(np.array([[0.0, 0.0]]))[0] == 0.0
 
 
 def test_ball_bump_integral_closed_form():
@@ -172,7 +174,7 @@ def test_bump_boundary_smoothness():
         spec = BumpSpec(s=s, d=1, p=2.0, sigma=0.5, center=(0.5,))
         f = bump(spec)
         boundary = 1.0  # right edge of the support
-        profile = lambda t: float(f(np.array([t]))) / spec.height
+        profile = lambda t: f(np.array([[t]]))[0] / spec.height
         assert profile(boundary) == 0.0
         assert abs(profile(boundary - h)) <= (5.0 * h) ** s
         if s >= 2:
@@ -186,8 +188,8 @@ def test_corner_bump_geometry_and_scaling():
     sigma = 0.125 * delta**0.5 / m
     assert sigma <= 1.0 / (8 * m)
     # support inside [0, 1/(4m)]^2, hence inside the corner cell
-    assert float(f(np.array([1.0 / (4 * m), 1.0 / (4 * m)]))) == 0.0
-    assert float(f(np.array([0.125 / m, 0.125 / m]))) == pytest.approx(1.0 / sigma, rel=1e-12)
+    assert f(np.array([[1.0 / (4 * m), 1.0 / (4 * m)]]))[0] == 0.0
+    assert f(np.array([[0.125 / m, 0.125 / m]]))[0] == pytest.approx(1.0 / sigma, rel=1e-12)
     assert f.exact_integral == pytest.approx((math.pi / 2) * sigma, rel=1e-12)
 
 
@@ -197,7 +199,7 @@ def test_corner_bump_center_value_tracks_delta():
     heights = []
     for delta in (0.1, 0.025):
         f = corner_bump(1, 2, 1.0, m, delta)
-        heights.append(float(f(np.full(2, 0.125 / m))))
+        heights.append(f(np.full((1, 2), 0.125 / m))[0])
     assert heights[1] / heights[0] == pytest.approx((0.1 / 0.025) ** 0.5, rel=1e-10)
 
 
@@ -225,10 +227,12 @@ def test_corner_bump_regime_validation():
         lambda: bump(BumpSpec(s=2, d=2, p=1.5, sigma=0.3, center=(0.5, 0.5))),
     ],
 )
-def test_exact_integrals_agree_with_crude_mc(factory):
+def test_exact_integrals_agree_with_stratified_sampling(factory):
     f = factory()
-    run = crude_mc(f, 1_000_000, seed=17)
+    # 10^6 cells, one sample each; the plain Monte Carlo standard error of
+    # 10^6 points bounds the stratified estimator's
+    result = stratified(f, EstimatorConfig(method=Method.STRAT, s=1, m=1000, seed=17))
     rng = np.random.default_rng(18)
     sample = f(rng.random((200_000, f.dim)))
     se = sample.std(ddof=1) / math.sqrt(1_000_000)
-    assert abs(run.value - f.exact_integral) <= 4 * se + 1e-9
+    assert abs(result.value - f.exact_integral) <= 4 * se + 1e-9
