@@ -11,20 +11,10 @@ from .estimators import (
     EstimateRun,
     EstimatorConfig,
     Method,
-    classical_cv,
-    cv_mom,
     run,
-    scv,
-    stratified,
 )
-from .grid import (
-    NodeSet,
-    UnisolvenceError,
-    poly_dim,
-    regular_nodes,
-    shifted_nodes,
-    subcube_indices,
-)
+from .grid import poly_dim, regular_nodes, shifted_nodes, subcube_indices
+from .interp import UnisolvenceError
 from .stats import (
     ErrorSample,
     RateFit,
@@ -48,13 +38,10 @@ __all__ = [
     "EstimatorConfig",
     "Integrand",
     "Method",
-    "NodeSet",
     "RateFit",
     "UnisolvenceError",
     "bump",
-    "classical_cv",
     "corner_bump",
-    "cv_mom",
     "fit_rate",
     "histogram",
     "poly_dim",
@@ -63,9 +50,7 @@ __all__ = [
     "regular_nodes",
     "replicate",
     "run",
-    "scv",
     "shifted_nodes",
-    "stratified",
     "subcube_indices",
     "tail_fraction",
     "test_function_2d",

@@ -38,10 +38,6 @@ __all__ = [
     "BudgetError",
     "EstimatorConfig",
     "EstimateRun",
-    "scv",
-    "classical_cv",
-    "cv_mom",
-    "stratified",
     "run",
 ]
 
@@ -135,32 +131,27 @@ def _mapped_nodes(nodes: np.ndarray, offsets: np.ndarray, m: int) -> np.ndarray:
 
 
 class _Plan:
-    """Shared geometry for one (s, d, m): nodes, solver, cell offsets and
-    the deterministic nodes mapped into every cell (read-only)."""
+    """Shared geometry for one (s, d, m): the deterministic interpolator,
+    cell offsets and its nodes mapped into every cell (read-only)."""
 
     def __init__(self, s: int, d: int, m: int):
-        self.s, self.d, self.m = s, d, m
-        self.base = LocalInterpolator(regular_nodes(s, d))
+        self.d, self.m = d, m
+        self.base = LocalInterpolator(regular_nodes(s, d), s)
         self.offsets = subcube_indices(m, d).astype(float)
         self.n_cubes = self.offsets.shape[0]
-        self.node_points = _mapped_nodes(self.base.nodes.points, self.offsets, m)
+        self.node_points = _mapped_nodes(self.base.points, self.offsets, m)
         self.node_points.flags.writeable = False
         # lexicographic ravel strides for locating a sample's cell
         self.strides = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=8)
 def _plan(s: int, d: int, m: int) -> _Plan:
     return _Plan(s, d, m)
 
 
-def _require(cfg: EstimatorConfig, method: Method) -> None:
-    if cfg.method is not method:
-        raise ValueError(f"config method is {cfg.method.value!r}, expected {method.value!r}")
-
-
-def _fit(f: Integrand, cfg: EstimatorConfig, method: Method):
-    """Check the method and budget, then interpolate f on every subcube at once.
+def _fit(f: Integrand, cfg: EstimatorConfig):
+    """Check the budget, then interpolate f on every subcube at once.
 
     Opens the invocation's stream and, in shifted mode, draws the shared
     shift from it first.  Evaluates f at the mapped nodes of all cells
@@ -169,51 +160,27 @@ def _fit(f: Integrand, cfg: EstimatorConfig, method: Method):
     (evals, plan, rng, solver, coeffs, cell_means) with coeffs of shape
     (n0, m^d).
     """
-    _require(cfg, method)
     plan = _plan(cfg.s, f.dim, cfg.m)
     evals = cfg.budget(f.dim)  # raises BudgetError before any evaluation
     rng = _stream(cfg.seed)
     solver, pts = plan.base, plan.node_points
     if cfg.interpolation_mode == SHIFTED:
-        solver = LocalInterpolator(shifted_nodes(plan.base.nodes, rng.random(plan.d)))
-        pts = _mapped_nodes(solver.nodes.points, plan.offsets, plan.m)
+        solver = LocalInterpolator(shifted_nodes(plan.base.points, rng.random(plan.d)), cfg.s)
+        pts = _mapped_nodes(solver.points, plan.offsets, plan.m)
     vals = f(pts).reshape(plan.n_cubes, -1)
     coeffs = solver.solve(vals.T)
     return evals, plan, rng, solver, coeffs, solver.moments @ coeffs
 
 
-def _whole_cube(f: Integrand, cfg: EstimatorConfig, method: Method, k: int) -> EstimateRun:
-    """Interpolant's integral plus the median of k whole-cube residual group means.
-
-    The residual f - g is sampled at iid uniform points of the whole cube
-    and split in draw order into k consecutive groups of
-    ``n1 = floor(n0 * m^d / k)``; each group mean is
-    ``fsum(group) / n1``.  With k = 1 this is classical control variates.
-    """
-    evals, plan, rng, solver, coeffs, means = _fit(f, cfg, method)
-    int_g = math.fsum(means.tolist()) / plan.n_cubes
-
-    n1 = (len(solver.nodes) * plan.n_cubes) // k
-    x = rng.random((k * n1, plan.d))
-    xm = x * plan.m
-    cells = np.minimum(xm.astype(np.int64), plan.m - 1)
-    local = xm - cells
-    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ plan.strides])
-    groups = (f(x) - gx).reshape(k, n1).tolist()
-    value = int_g + statistics.median(math.fsum(g) / n1 for g in groups)
-    return EstimateRun(value=value, evals=evals)
-
-
-def scv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
+def _scv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     """Stratified control variates.
 
     ``m^-d * sum_i (a_i + mean_j [f - g_i](X_i^(j)))`` with n0 points
     X_i^(j) uniform on cell i.  Exact on polynomials of total degree < s,
-    linear and unbiased.  In shifted mode one shift is drawn first and
-    shared by all cells.
+    linear and unbiased.
     """
-    evals, plan, rng, solver, coeffs, means = _fit(f, cfg, Method.SCV)
-    n0 = len(solver.nodes)
+    evals, plan, rng, solver, coeffs, means = _fit(f, cfg)
+    n0 = len(solver)
     u = rng.random((plan.n_cubes, n0, plan.d))
     x = (u + plan.offsets[:, None, :]) / plan.m
     fx = f(x.reshape(-1, plan.d)).reshape(plan.n_cubes, n0)
@@ -224,48 +191,60 @@ def scv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     return EstimateRun(value=value, evals=evals)
 
 
-def classical_cv(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
-    """Classical control variates with the same piecewise interpolant as SCV.
+def _whole_cube(f: Integrand, cfg: EstimatorConfig, k: int) -> EstimateRun:
+    """Interpolant's integral plus the median of k whole-cube residual group means.
 
-    The interpolant's integral is computed exactly as the mean of the cell
-    means; the residual is averaged over iid uniform samples on the whole
-    cube.  Unbiased, exact on polynomials of total degree < s.  This is
-    :func:`cv_mom` with a single group.
+    The interpolant is SCV's, and its integral is the mean of the exact
+    cell means.  The residual f - g is sampled at iid uniform points of
+    the whole cube and split in draw order into k consecutive groups of
+    ``n1 = floor(n0 * m^d / k)``; each group mean is ``fsum(group) / n1``.
+    With k = 1 this is classical control variates: linear, unbiased and
+    exact on polynomials of total degree < s.  With k = cfg.k it is CV+MoM:
+    still exact on those polynomials, but non-linear and biased, and it
+    requires ``n0 * m^d >= k``.  An even k takes the mean of the two
+    central order statistics.
     """
-    return _whole_cube(f, cfg, Method.CV, 1)
+    evals, plan, rng, solver, coeffs, means = _fit(f, cfg)
+    int_g = math.fsum(means.tolist()) / plan.n_cubes
+
+    n1 = (len(solver) * plan.n_cubes) // k
+    x = rng.random((k * n1, plan.d))
+    xm = x * plan.m
+    cells = np.minimum(xm.astype(np.int64), plan.m - 1)
+    local = xm - cells
+    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ plan.strides])
+    groups = (f(x) - gx).reshape(k, n1).tolist()
+    value = int_g + statistics.median(math.fsum(g) / n1 for g in groups)
+    return EstimateRun(value=value, evals=evals)
 
 
-def cv_mom(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
-    """Control variates with a median-of-means residual estimate.
+def _stratified(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
+    """Plain stratified sampling: one uniform sample per cell, averaged.
 
-    The residual samples are split into k consecutive groups of size
-    ``n1 = floor(n0 * m^d / k)`` and the median of the group means is
-    added to the interpolant's integral.  Non-linear and biased; requires
-    ``n0 * m^d >= k``.  An even k takes the mean of the two central order
-    statistics.
+    Needs no interpolation, so it builds no plan.
     """
-    return _whole_cube(f, cfg, Method.CV_MOM, cfg.k)
-
-
-def stratified(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
-    """Plain stratified sampling: one uniform sample per cell, averaged."""
-    _require(cfg, Method.STRAT)
-    plan = _plan(cfg.s, f.dim, cfg.m)
-    rng = _stream(cfg.seed)
-    u = rng.random((plan.n_cubes, plan.d))
-    fx = f((u + plan.offsets) / plan.m)
-    value = math.fsum(fx.tolist()) / plan.n_cubes
+    offsets = subcube_indices(cfg.m, f.dim)
+    u = _stream(cfg.seed).random(offsets.shape)
+    fx = f((u + offsets) / cfg.m)
+    value = math.fsum(fx.tolist()) / offsets.shape[0]
     return EstimateRun(value=value, evals=cfg.budget(f.dim))
 
 
 _DISPATCH = {
-    Method.SCV: scv,
-    Method.CV: classical_cv,
-    Method.CV_MOM: cv_mom,
-    Method.STRAT: stratified,
+    Method.SCV: _scv,
+    Method.CV: lambda f, cfg: _whole_cube(f, cfg, 1),
+    Method.CV_MOM: lambda f, cfg: _whole_cube(f, cfg, cfg.k),
+    Method.STRAT: _stratified,
 }
 
 
 def run(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
-    """Dispatch to the estimator named by ``cfg.method``."""
+    """One realization of the estimator named by ``cfg.method``.
+
+    SCV, CV and CV+MoM share one piecewise interpolant of total degree < s
+    on the m-grid (in shifted mode, one shift is drawn first and shared by
+    all cells); they differ only in how the residual is sampled, see
+    :func:`_scv` and :func:`_whole_cube`.  STRAT takes one uniform sample
+    per cell and no control variate.
+    """
     return _DISPATCH[cfg.method](f, cfg)

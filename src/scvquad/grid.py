@@ -1,42 +1,26 @@
 """Dimension bookkeeping on the unit cube.
 
-Polynomial-space dimensions, the lexicographic index of the ``m^d``
-subcube decomposition, and unisolvent node sets for total-degree
-interpolation.  All objects here are immutable after construction and
-safe to share across threads.
+Polynomial-space dimensions, monomial design matrices, the lexicographic
+index of the ``m^d`` subcube decomposition, and the node points of
+unisolvent sets for total-degree interpolation.  Cached arrays returned
+from here are read-only and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "RCOND_MIN",
-    "UnisolvenceError",
     "poly_dim",
     "total_degree_exponents",
     "monomial_matrix",
-    "NodeSet",
     "regular_nodes",
     "shifted_nodes",
     "subcube_indices",
 ]
-
-# Node sets whose interpolation matrix has a reciprocal condition estimate
-# below this are rejected at construction time.
-RCOND_MIN = 1e-10
-
-
-class UnisolvenceError(ValueError):
-    """Node set cannot support unique total-degree interpolation."""
-
-    def __init__(self, message: str, rcond: float):
-        super().__init__(message)
-        self.rcond = rcond
 
 
 def _check_sd(s: int, d: int) -> None:
@@ -158,88 +142,32 @@ def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return out
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class NodeSet:
-    """Unisolvent interpolation nodes for polynomials of total degree < s.
-
-    `points` has shape (n0, d) with ``n0 = poly_dim(s, d)`` and all
-    coordinates in [0, 1].  `shift` records the random offset that produced
-    the set, if any.  Construction verifies that the monomial collocation
-    matrix is invertible; its reciprocal condition estimate must exceed
-    ``RCOND_MIN``, otherwise an :class:`UnisolvenceError` is raised rather
-    than letting downstream solves produce garbage.
-    """
-
-    points: np.ndarray
-    s: int
-    d: int
-    shift: np.ndarray | None = None
-
-    def __post_init__(self):
-        _check_sd(self.s, self.d)
-        pts = np.asarray(self.points, dtype=float)
-        n0 = poly_dim(self.s, self.d)
-        if pts.shape != (n0, self.d):
-            raise ValueError(f"expected points of shape ({n0}, {self.d}), got {pts.shape}")
-        if pts.min() < 0.0 or pts.max() > 1.0:
-            raise ValueError("interpolation nodes must lie inside the unit cube")
-        object.__setattr__(self, "points", _readonly(pts))
-        if self.shift is not None:
-            shift = np.asarray(self.shift, dtype=float)
-            if shift.shape != (self.d,):
-                raise ValueError(f"shift must have shape ({self.d},), got {shift.shape}")
-            object.__setattr__(self, "shift", _readonly(shift))
-        matrix = monomial_matrix(self.points, total_degree_exponents(self.s, self.d))
-        cond = np.linalg.cond(matrix)
-        rcond = 1.0 / cond if np.isfinite(cond) and cond > 0 else 0.0
-        if rcond < RCOND_MIN:
-            raise UnisolvenceError(
-                f"node set is not unisolvent for degree < {self.s}: "
-                f"reciprocal condition estimate {rcond:.3e} < {RCOND_MIN:.0e}",
-                rcond=rcond,
-            )
-        object.__setattr__(self, "interpolation_matrix", _readonly(matrix))
-        object.__setattr__(self, "rcond", float(rcond))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def regular_nodes(s: int, d: int) -> NodeSet:
-    """The principal simplex lattice ``{alpha/(s-1) : |alpha|_1 <= s-1}``.
+def regular_nodes(s: int, d: int) -> np.ndarray:
+    """The principal simplex lattice ``{alpha/(s-1) : |alpha|_1 <= s-1}``
+    as an (n0, d) array.
 
     A classical unisolvent set for interpolation by polynomials of total
     degree < s.  For s = 1 the single node is placed at the cube center.
     """
     _check_sd(s, d)
     if s == 1:
-        points = np.full((1, d), 0.5)
-    else:
-        points = total_degree_exponents(s, d).astype(float) / (s - 1)
-    return NodeSet(points=points, s=s, d=d)
+        return np.full((1, d), 0.5)
+    return total_degree_exponents(s, d).astype(float) / (s - 1)
 
 
-def shifted_nodes(base: NodeSet, shift: np.ndarray) -> NodeSet:
+def shifted_nodes(base: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Replace each base node x_j by ``(x_j + shift) / 2``.
 
     The result stays inside the unit cube for any shift in [0, 1]^d, and
     unisolvence is preserved because the map is an invertible affine
     contraction of an already unisolvent set.
     """
-    if base.shift is not None:
-        raise ValueError("base node set is already shifted")
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != (base.d,):
-        raise ValueError(f"shift must have shape ({base.d},), got {shift.shape}")
+    base, shift = np.asarray(base, dtype=float), np.asarray(shift, dtype=float)
+    if shift.shape != base.shape[1:]:
+        raise ValueError(f"shift must have shape {base.shape[1:]}, got {shift.shape}")
     if shift.min() < 0.0 or shift.max() > 1.0:
         raise ValueError("shift must lie inside the unit cube")
-    return NodeSet(points=(base.points + shift) / 2.0, s=base.s, d=base.d, shift=shift)
+    return (base + shift) / 2.0
 
 
 @lru_cache(maxsize=32)

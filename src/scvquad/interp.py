@@ -1,20 +1,36 @@
 """Local polynomial interpolation on subcubes.
 
-Interpolation in the monomial basis supplies the control variates; their
-means over the cell are exact term-by-term moments, which is the reason
-for staying in the monomial basis at desk scale (s <= 4, d <= 4) where its
-conditioning is acceptable.  Conditioning is checked once, when the
-:class:`NodeSet` is built, so a solver only exists for node sets whose
-collocation matrix is well conditioned.
+A :class:`LocalInterpolator` is one unisolvent node set together with
+everything a cell's interpolation needs: the monomial collocation matrix,
+the exact cell moments and a batched solve.  Interpolation in the monomial
+basis supplies the control variates; their means over the cell are exact
+term-by-term moments, which is the reason for staying in the monomial
+basis at desk scale (s <= 4, d <= 4) where its conditioning is acceptable.
+Conditioning is checked once, when the interpolator is built, so one only
+exists for node sets whose collocation matrix is well conditioned.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import NodeSet, monomial_matrix, total_degree_exponents
+from .grid import monomial_matrix, poly_dim, total_degree_exponents
 
-__all__ = ["LocalInterpolator", "monomial_means"]
+__all__ = ["RCOND_MIN", "UnisolvenceError", "LocalInterpolator", "monomial_means"]
+
+# Node sets whose interpolation matrix has a reciprocal condition estimate
+# below this are rejected at construction time.
+RCOND_MIN = 1e-10
+
+
+class UnisolvenceError(ValueError):
+    """Node set cannot support unique total-degree interpolation."""
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr = np.array(arr, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def monomial_means(exponents: np.ndarray) -> np.ndarray:
@@ -23,19 +39,43 @@ def monomial_means(exponents: np.ndarray) -> np.ndarray:
 
 
 class LocalInterpolator:
-    """Interpolation engine for one node set, reused across subcubes.
+    """Interpolation by polynomials of total degree < s on one node set,
+    reused across subcubes.
 
-    Precomputes the collocation matrix and the moment vector so that a
-    batch of value vectors (one column per subcube) resolves into
-    coefficient vectors with a single pivoted solve.  The mean of an
-    interpolant over its cell is ``moments @ coeffs``.
+    `points` has shape (n0, d) with ``n0 = poly_dim(s, d)`` and all
+    coordinates in [0, 1]; d is read from its shape.  The read-only
+    collocation `matrix` must have a reciprocal condition estimate `rcond`
+    of at least ``RCOND_MIN``, otherwise :class:`UnisolvenceError` is raised
+    rather than letting later solves produce garbage.  A batch of value
+    vectors (one column per subcube) resolves into coefficient vectors with
+    a single pivoted solve, and the mean of an interpolant over its cell is
+    ``moments @ coeffs``.
     """
 
-    def __init__(self, nodes: NodeSet):
-        self.nodes = nodes
-        self.exponents = total_degree_exponents(nodes.s, nodes.d)
-        self.matrix = nodes.interpolation_matrix
+    def __init__(self, points: np.ndarray, s: int):
+        pts = np.asarray(points, dtype=float)
+        d = pts.shape[-1]
+        n0 = poly_dim(s, d)
+        if pts.shape != (n0, d):
+            raise ValueError(f"expected points of shape ({n0}, {d}), got {pts.shape}")
+        if pts.min() < 0.0 or pts.max() > 1.0:
+            raise ValueError("interpolation nodes must lie inside the unit cube")
+        self.points = _readonly(pts)
+        self.exponents = total_degree_exponents(s, d)
+        matrix = monomial_matrix(self.points, self.exponents)
+        cond = np.linalg.cond(matrix)
+        rcond = 1.0 / cond if np.isfinite(cond) and cond > 0 else 0.0
+        if rcond < RCOND_MIN:
+            raise UnisolvenceError(
+                f"node set is not unisolvent for degree < {s}: "
+                f"reciprocal condition estimate {rcond:.3e} < {RCOND_MIN:.0e}"
+            )
+        self.matrix = _readonly(matrix)
+        self.rcond = float(rcond)
         self.moments = monomial_means(self.exponents)
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the interpolants matching `values` at the nodes.
@@ -44,9 +84,8 @@ class LocalInterpolator:
         the result has the same shape, rows aligned with the exponent order.
         """
         values = np.asarray(values, dtype=float)
-        n0 = len(self.nodes)
-        if values.shape[0] != n0:
-            raise ValueError(f"expected {n0} node values, got {values.shape[0]}")
+        if values.shape[0] != len(self):
+            raise ValueError(f"expected {len(self)} node values, got {values.shape[0]}")
         return np.linalg.solve(self.matrix, values)
 
     def design_matrix(self, points_local: np.ndarray) -> np.ndarray:

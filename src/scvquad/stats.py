@@ -66,14 +66,17 @@ class ErrorSample:
 
     errors: np.ndarray
     config: EstimatorConfig
-    R: int
-    master_seed: int
 
     def __post_init__(self):
         errors = np.asarray(self.errors, dtype=float)
-        if errors.shape != (self.R,):
-            raise ValueError(f"expected {self.R} errors, got shape {errors.shape}")
+        if errors.ndim != 1 or errors.size == 0:
+            raise ValueError(f"errors must be a nonempty 1-D vector, got shape {errors.shape}")
         object.__setattr__(self, "errors", errors)
+
+    @property
+    def R(self) -> int:
+        """Number of replications."""
+        return self.errors.size
 
 
 def replicate(
@@ -104,7 +107,7 @@ def replicate(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             errors = list(pool.map(one, range(R)))
-    return ErrorSample(errors=np.array(errors), config=cfg, R=R, master_seed=master_seed)
+    return ErrorSample(errors=np.array(errors), config=cfg)
 
 
 def prob_error(sample: ErrorSample, delta: float) -> float:

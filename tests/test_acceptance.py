@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from scvquad.estimators import EstimatorConfig, Method, run, scv
+from scvquad.estimators import EstimatorConfig, Method, run
 from scvquad.grid import poly_dim
 from scvquad.stats import (
     derive_seed,
@@ -290,7 +290,7 @@ def test_criterion_7_budget_and_determinism():
             seed=int(rng.integers(0, 2**63)),
         )
         before = f.evals
-        result = scv(f, cfg)
+        result = run(f, cfg)
         expected = 2 * poly_dim(s, d) * m**d
         if f.evals - before != expected or result.evals != expected:
             mismatches.append((s, d, m, f.evals - before, expected))

@@ -245,3 +245,67 @@ def test_campaign_reads_every_declared_setting(command, tmp_path, capsys):
     settings.values["out"] = tmp_path / "out.csv"
     run(settings)
     assert settings.read == set(defaults) | {"out"}
+
+
+# Expected output of three small default campaigns, recorded from the code
+# they guard.  Each file's line count, and every listed row: the raw rates
+# errors, the histogram rows other than its bins, and the tails summary.
+# Campaign seeds derive from the order of `Method` and each estimate's
+# values from its stream's draw order, so a change to either moves them.
+_CAMPAIGNS = [
+    (["rates", "--seed", "3", "--reps", "3", "--m", "1,4"], "rates.csv"),
+    (["histogram", "--seed", "3", "--reps", "20"], "hist.csv"),
+    (["tails", "--seed", "3", "--reps", "20"], "tails.csv"),
+]
+_LINE_COUNTS = {"rates.csv": 16, "rates_summary.csv": 11, "hist.csv": 61,
+                "hist_summary.csv": 460, "tails.csv": 8}
+_EXPECTED_ROWS = {
+    "rates.csv": """\
+cv,2,2,1,6,0,-3.14031427430227
+cv,2,2,1,6,1,-23.48480215979494
+cv,2,2,1,6,2,0.47530973252139574
+cv,2,2,4,96,0,0.6086124884611892
+cv,2,2,4,96,1,-0.2150149619587367
+cv,2,2,4,96,2,-0.6577408430861711
+cv_mom,2,2,4,92,0,1.5329040908878278
+cv_mom,2,2,4,92,1,2.261191051840625
+cv_mom,2,2,4,92,2,1.95884716276549
+scv,2,2,1,6,0,2.5517410678980426
+scv,2,2,1,6,1,-0.14695916685477783
+scv,2,2,1,6,2,-7.8631378168583765
+scv,2,2,4,96,0,0.3233501641316354
+scv,2,2,4,96,1,-0.21091934700773574
+scv,2,2,4,96,2,0.10172000572737105""",
+    "hist_summary.csv": """\
+cv,2,2,4,96,mean_error,-0.1189250035989122
+cv,2,2,4,96,tail_fraction_2.5,0.05
+cv,2,2,4,96,tail_fraction_2.9,0.05
+cv_mom,2,2,4,92,mean_error,1.0751053897513634
+cv_mom,2,2,4,92,tail_fraction_2.5,0.05
+cv_mom,2,2,4,92,tail_fraction_2.9,0.05
+scv,2,2,4,96,mean_error,0.0473602496748395
+scv,2,2,4,96,tail_fraction_2.5,0.0
+scv,2,2,4,96,tail_fraction_2.9,0.0""",
+    "tails.csv": """\
+scv,1,2,8,128,prob_error_delta_0.1,0.007761397082653204
+scv,1,2,8,128,max_abs_error_delta_0.1,0.007761397082653204
+scv,1,2,8,128,prob_error_delta_0.05,0.005488136508625567
+scv,1,2,8,128,max_abs_error_delta_0.05,0.005488136508625567
+scv,1,2,8,128,prob_error_delta_0.02,0.0034710022954362236
+scv,1,2,8,128,max_abs_error_delta_0.02,0.0034710022954362236
+scv,1,2,8,128,delta_exponent_max,-0.49999999999999933""",
+}
+
+
+def test_default_campaigns_reproduce_recorded_output(tmp_path):
+    for argv, name in _CAMPAIGNS:
+        assert main(argv + ["--out", str(tmp_path / name)]) == EXIT_OK
+    for name, count in _LINE_COUNTS.items():
+        assert len(_read(tmp_path / name)) == count, name
+    for name, text in _EXPECTED_ROWS.items():
+        rows = [row for row in _read(tmp_path / name)[1:] if not row[5].startswith("hist_")]
+        expected = [line.split(",") for line in text.splitlines()]
+        assert [row[:-1] for row in rows] == [row[:-1] for row in expected], name
+        # the last column is the float; allow a BLAS ulp, not a changed draw
+        for row, want in zip(rows, expected):
+            assert float(row[-1]) == pytest.approx(float(want[-1]), rel=1e-12, abs=0), (name, row)

@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scvquad import estimators
 from scvquad.estimators import (
     DETERMINISTIC,
     SHIFTED,
     BudgetError,
     EstimatorConfig,
     Method,
-    classical_cv,
-    cv_mom,
     run,
-    scv,
-    stratified,
 )
 from scvquad.grid import poly_dim
 from scvquad.testbed import Integrand, random_poly
@@ -39,13 +36,13 @@ def test_polynomial_exactness(method, s, d, m):
 def test_scv_exact_in_shifted_mode():
     f = random_poly(3, 2, seed=4)
     cfg = EstimatorConfig(method=Method.SCV, s=3, m=3, interpolation_mode="shifted", seed=12)
-    assert abs(scv(f, cfg).value - f.exact_integral) <= 1e-10
+    assert abs(run(f, cfg).value - f.exact_integral) <= 1e-10
 
 
 def test_scv_budget_example():
     f = make_benchmark()
     cfg = EstimatorConfig(method=Method.SCV, s=2, m=4, seed=0)
-    result = scv(f, cfg)
+    result = run(f, cfg)
     assert result.evals == 96
     assert f.evals == 96
 
@@ -61,13 +58,13 @@ def test_determinism_bitwise(seed):
 def test_determinism_at_large_m():
     f = make_benchmark()
     cfg = EstimatorConfig(method=Method.SCV, s=2, m=64, seed=5)
-    assert scv(f, cfg).value == scv(f, cfg).value
+    assert run(f, cfg).value == run(f, cfg).value
 
 
 def test_different_seeds_differ():
     f = make_benchmark()
-    a = scv(f, EstimatorConfig(method=Method.SCV, s=2, m=4, seed=1)).value
-    b = scv(f, EstimatorConfig(method=Method.SCV, s=2, m=4, seed=2)).value
+    a = run(f, EstimatorConfig(method=Method.SCV, s=2, m=4, seed=1)).value
+    b = run(f, EstimatorConfig(method=Method.SCV, s=2, m=4, seed=2)).value
     assert a != b
 
 
@@ -103,14 +100,14 @@ def test_cv_mom_budget_violation():
     f = make_benchmark()
     cfg = EstimatorConfig(method=Method.CV_MOM, s=2, m=1, k=11)
     with pytest.raises(BudgetError):
-        cv_mom(f, cfg)
+        run(f, cfg)
 
 
 def test_cv_and_scv_coincide_at_m1():
     # the two methods draw identical samples at m=1 and apply the same formula
     f = make_benchmark()
-    a = scv(f, EstimatorConfig(method=Method.SCV, s=2, m=1, seed=31)).value
-    b = classical_cv(f, EstimatorConfig(method=Method.CV, s=2, m=1, seed=31)).value
+    a = run(f, EstimatorConfig(method=Method.SCV, s=2, m=1, seed=31)).value
+    b = run(f, EstimatorConfig(method=Method.CV, s=2, m=1, seed=31)).value
     assert a == pytest.approx(b, rel=1e-12)
     cfg_a = EstimatorConfig(method=Method.SCV, s=2, m=1)
     cfg_b = EstimatorConfig(method=Method.CV, s=2, m=1)
@@ -119,8 +116,8 @@ def test_cv_and_scv_coincide_at_m1():
 
 def test_cv_mom_with_single_group_matches_cv():
     f = make_benchmark()
-    a = classical_cv(f, EstimatorConfig(method=Method.CV, s=2, m=3, seed=8)).value
-    b = cv_mom(f, EstimatorConfig(method=Method.CV_MOM, s=2, m=3, k=1, seed=8)).value
+    a = run(f, EstimatorConfig(method=Method.CV, s=2, m=3, seed=8)).value
+    b = run(f, EstimatorConfig(method=Method.CV_MOM, s=2, m=3, k=1, seed=8)).value
     assert a == b
 
 
@@ -129,8 +126,8 @@ def test_cv_mom_even_k_uses_central_pair():
     # statistics; with k=2 that equals the overall residual mean, so the
     # run must agree with classical CV on the same stream (n0*m^d is even)
     f = make_benchmark()
-    a = cv_mom(f, EstimatorConfig(method=Method.CV_MOM, s=2, m=2, k=2, seed=9)).value
-    b = classical_cv(f, EstimatorConfig(method=Method.CV, s=2, m=2, seed=9)).value
+    a = run(f, EstimatorConfig(method=Method.CV_MOM, s=2, m=2, k=2, seed=9)).value
+    b = run(f, EstimatorConfig(method=Method.CV, s=2, m=2, seed=9)).value
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -141,16 +138,24 @@ def test_cv_mom_group_count_default_is_eleven():
 def test_stratified_constant_exact():
     f = _constant(2.5, 2)
     for seed in (0, 7, 123):
-        assert stratified(f, EstimatorConfig(method=Method.STRAT, s=1, m=3, seed=seed)).value == 2.5
+        assert run(f, EstimatorConfig(method=Method.STRAT, s=1, m=3, seed=seed)).value == 2.5
 
 
 def test_stratified_m1_single_sample():
     f = make_benchmark()
-    result = stratified(f, EstimatorConfig(method=Method.STRAT, s=1, m=1, seed=21))
+    result = run(f, EstimatorConfig(method=Method.STRAT, s=1, m=1, seed=21))
     assert result.evals == f.evals == 1
     # the one cell is the whole cube: f at the stream's first uniform point
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
     assert result.value == f(rng.random((1, 2)))[0]
+
+
+def test_stratified_builds_no_plan():
+    # stratified sampling reads only the cell offsets; a cached interpolation
+    # plan at m=1000 would hold 10^6 mapped nodes for the process's life
+    estimators._plan.cache_clear()
+    run(make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=1000, seed=4))
+    assert estimators._plan.cache_info().currsize == 0
 
 
 def test_run_dispatches_all_methods():
@@ -158,13 +163,6 @@ def test_run_dispatches_all_methods():
     for method in (Method.SCV, Method.CV, Method.CV_MOM, Method.STRAT):
         cfg = EstimatorConfig(method=method, s=2, m=2, k=5, seed=1)
         assert np.isfinite(run(f, cfg).value)
-
-
-def test_method_mismatch_rejected():
-    f = make_benchmark()
-    cfg = EstimatorConfig(method=Method.CV, s=2, m=2)
-    with pytest.raises(ValueError):
-        scv(f, cfg)
 
 
 def test_config_validation():

@@ -6,8 +6,6 @@ import pytest
 
 from scvquad import grid
 from scvquad.grid import (
-    NodeSet,
-    UnisolvenceError,
     monomial_matrix,
     poly_dim,
     regular_nodes,
@@ -15,6 +13,7 @@ from scvquad.grid import (
     subcube_indices,
     total_degree_exponents,
 )
+from scvquad.interp import LocalInterpolator, UnisolvenceError
 
 
 @pytest.mark.parametrize("s,d,expected", [(2, 2, 3), (1, 7, 1), (3, 2, 6)])
@@ -84,19 +83,19 @@ def test_subcube_indices_lexicographic():
 
 def test_regular_nodes_1d():
     nodes = regular_nodes(2, 1)
-    assert sorted(nodes.points[:, 0].tolist()) == [0.0, 1.0]
+    assert sorted(nodes[:, 0].tolist()) == [0.0, 1.0]
 
 
 def test_regular_nodes_s1_center():
     nodes = regular_nodes(1, 3)
-    assert np.array_equal(nodes.points, [[0.5, 0.5, 0.5]])
+    assert np.array_equal(nodes, [[0.5, 0.5, 0.5]])
 
 
 def test_regular_nodes_2d_simplex_corners():
     nodes = regular_nodes(2, 2)
-    assert {tuple(p) for p in nodes.points} == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)}
+    assert {tuple(p) for p in nodes} == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)}
     # unisolvence: the 3x3 system solves cleanly
-    mat = nodes.interpolation_matrix
+    mat = LocalInterpolator(nodes, 2).matrix
     sol = np.linalg.solve(mat, np.array([1.0, 2.0, 4.0]))
     assert np.allclose(mat @ sol, [1.0, 2.0, 4.0], atol=1e-12)
 
@@ -104,7 +103,7 @@ def test_regular_nodes_2d_simplex_corners():
 @pytest.mark.parametrize("s", range(1, 6))
 @pytest.mark.parametrize("d", range(1, 5))
 def test_regular_nodes_cardinality_and_conditioning(s, d):
-    nodes = regular_nodes(s, d)
+    nodes = LocalInterpolator(regular_nodes(s, d), s)
     assert len(nodes) == poly_dim(s, d)
     assert nodes.rcond >= 1e-10
 
@@ -112,41 +111,40 @@ def test_regular_nodes_cardinality_and_conditioning(s, d):
 def test_shifted_nodes_examples():
     base = regular_nodes(2, 1)
     shifted = shifted_nodes(base, np.array([0.0]))
-    assert {p[0] for p in shifted.points} == {0.0, 0.5}
+    assert {p[0] for p in shifted} == {0.0, 0.5}
 
     single = shifted_nodes(regular_nodes(1, 2), np.array([1.0, 1.0]))
-    assert np.allclose(single.points, [[0.75, 0.75]], atol=0)
+    assert np.allclose(single, [[0.75, 0.75]], atol=0)
 
 
 def test_shifted_nodes_random_shifts_stay_unisolvent():
     rng = np.random.default_rng(3)
     base = regular_nodes(3, 2)
     for _ in range(100):
-        shifted = shifted_nodes(base, rng.random(2))
+        shifted = LocalInterpolator(shifted_nodes(base, rng.random(2)), 3)
         # solving against random data reproduces it
         values = rng.standard_normal(len(shifted))
-        coeffs = np.linalg.solve(shifted.interpolation_matrix, values)
-        assert np.allclose(shifted.interpolation_matrix @ coeffs, values, atol=1e-8)
+        coeffs = np.linalg.solve(shifted.matrix, values)
+        assert np.allclose(shifted.matrix @ coeffs, values, atol=1e-8)
 
 
 def test_shifted_nodes_validation():
     base = regular_nodes(2, 2)
     with pytest.raises(ValueError):
         shifted_nodes(base, np.array([1.5, 0.0]))
-    once = shifted_nodes(base, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        shifted_nodes(once, np.array([0.5, 0.5]))
+        shifted_nodes(base, np.array([0.5]))
 
 
 def test_nodeset_rejects_degenerate_points():
     pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.4, 0.4]])
     with pytest.raises(UnisolvenceError):
-        NodeSet(points=pts, s=2, d=2)
+        LocalInterpolator(pts, 2)
 
 
 def test_nodeset_rejects_wrong_cardinality():
     with pytest.raises(ValueError):
-        NodeSet(points=np.array([[0.0, 0.0], [1.0, 0.0]]), s=2, d=2)
+        LocalInterpolator(np.array([[0.0, 0.0], [1.0, 0.0]]), 2)
 
 
 def test_monomial_matrix_shape_and_values():

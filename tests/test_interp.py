@@ -20,15 +20,15 @@ def _coefficient(solver, coeffs, alpha):
 
 
 def test_interpolate_constants():
-    solver = LocalInterpolator(regular_nodes(3, 2))
-    coeffs = solver.solve(np.full(len(solver.nodes), 4.5))
+    solver = LocalInterpolator(regular_nodes(3, 2), 3)
+    coeffs = solver.solve(np.full(len(solver), 4.5))
     assert _coefficient(solver, coeffs, (0, 0)) == pytest.approx(4.5, abs=1e-12)
     assert np.allclose(coeffs[1:], 0.0, atol=1e-12)  # the constant term comes first
 
 
 def test_interpolate_linear_1d():
-    solver = LocalInterpolator(regular_nodes(2, 1))
-    values = solver.nodes.points[:, 0].copy()  # f(x) = x at the nodes 0 and 1
+    solver = LocalInterpolator(regular_nodes(2, 1), 2)
+    values = solver.points[:, 0].copy()  # f(x) = x at the nodes 0 and 1
     coeffs = solver.solve(values)
     assert _coefficient(solver, coeffs, (0,)) == pytest.approx(0.0, abs=1e-12)
     assert _coefficient(solver, coeffs, (1,)) == pytest.approx(1.0, abs=1e-12)
@@ -36,8 +36,8 @@ def test_interpolate_linear_1d():
 
 def test_interpolate_2d_hand_oracle():
     # values 1, 2, 4 at (0,0), (1,0), (0,1) -> 1 + x1 + 3 x2
-    solver = LocalInterpolator(regular_nodes(2, 2))
-    values = np.array([1.0 + p[0] + 3.0 * p[1] for p in solver.nodes.points])
+    solver = LocalInterpolator(regular_nodes(2, 2), 2)
+    values = np.array([1.0 + p[0] + 3.0 * p[1] for p in solver.points])
     coeffs = solver.solve(values)
     assert _coefficient(solver, coeffs, (0, 0)) == pytest.approx(1.0, abs=1e-12)
     assert _coefficient(solver, coeffs, (1, 0)) == pytest.approx(1.0, abs=1e-12)
@@ -46,20 +46,20 @@ def test_interpolate_2d_hand_oracle():
 
 def test_patch_mean_examples():
     # the mean of an interpolant over its cell is moments @ coeffs
-    assert LocalInterpolator(regular_nodes(1, 2)).moments @ [7.0] == pytest.approx(7.0, abs=0)
+    assert LocalInterpolator(regular_nodes(1, 2), 1).moments @ [7.0] == pytest.approx(7.0, abs=0)
     # x1*x2 has coefficient 1 on exponent (1,1) for s=3, d=2
     coeffs = np.zeros(6)
     coeffs[4] = 1.0  # order: (0,0),(1,0),(0,1),(2,0),(1,1),(0,2)
-    moments = LocalInterpolator(regular_nodes(3, 2)).moments
+    moments = LocalInterpolator(regular_nodes(3, 2), 3).moments
     assert moments @ coeffs == pytest.approx(0.25, abs=1e-15)
-    moments = LocalInterpolator(regular_nodes(2, 2)).moments
+    moments = LocalInterpolator(regular_nodes(2, 2), 2).moments
     assert moments @ [1.0, 1.0, 3.0] == pytest.approx(3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("s,d,npts", [(1, 4, 100_000), (4, 1, 100_000), (2, 2, 100_000)])
 def test_patch_mean_against_midpoint_rule(s, d, npts):
     rng = np.random.default_rng(s * 10 + d)
-    solver = LocalInterpolator(regular_nodes(s, d))
+    solver = LocalInterpolator(regular_nodes(s, d), s)
     per_axis = int(round(npts ** (1.0 / d)))
     grid_1d = (np.arange(per_axis) + 0.5) / per_axis
     mesh = np.meshgrid(*([grid_1d] * d), indexing="ij")
@@ -73,11 +73,10 @@ def test_patch_mean_against_midpoint_rule(s, d, npts):
 def test_polynomial_reproduction_random():
     rng = np.random.default_rng(11)
     for s, d in [(2, 1), (3, 2), (4, 2), (2, 3)]:
-        nodes = regular_nodes(s, d)
-        solver = LocalInterpolator(nodes)
+        solver = LocalInterpolator(regular_nodes(s, d), s)
         for _ in range(10):
-            coeffs = rng.uniform(-1, 1, len(nodes))
-            values = solver.design_matrix(nodes.points) @ coeffs
+            coeffs = rng.uniform(-1, 1, len(solver))
+            values = solver.design_matrix(solver.points) @ coeffs
             recovered = solver.solve(values)
             assert np.allclose(recovered, coeffs, atol=1e-9)
 
@@ -85,8 +84,8 @@ def test_polynomial_reproduction_random():
 def test_residual_zero_for_reproduced_polynomial():
     rng = np.random.default_rng(5)
     f = random_poly(3, 2, seed=8)
-    solver = LocalInterpolator(regular_nodes(3, 2))
-    coeffs = solver.solve(f(solver.nodes.points))
+    solver = LocalInterpolator(regular_nodes(3, 2), 3)
+    coeffs = solver.solve(f(solver.points))
     x = rng.random((100, 2))
     assert np.abs(f(x) - solver.design_matrix(x) @ coeffs).max() < 1e-10
 
@@ -97,9 +96,9 @@ def test_residual_vanishes_at_own_nodes():
     # lie inside their cell, so each point belongs to exactly one cell
     f = make_benchmark()
     m = 4
-    solver = LocalInterpolator(shifted_nodes(regular_nodes(3, 2), np.array([0.3, 0.6])))
+    solver = LocalInterpolator(shifted_nodes(regular_nodes(3, 2), np.array([0.3, 0.6])), 3)
     offsets = subcube_indices(m, 2).astype(float)
-    x = ((solver.nodes.points[None, :, :] + offsets[:, None, :]) / m).reshape(-1, 2)
+    x = ((solver.points[None, :, :] + offsets[:, None, :]) / m).reshape(-1, 2)
     fx = f(x)
     coeffs = solver.solve(fx.reshape(m * m, -1).T)
     cells = np.floor(x * m).astype(np.int64)
@@ -111,14 +110,13 @@ def test_residual_vanishes_at_own_nodes():
 def test_max_residual_shrinks_with_m():
     # scaling consistency: finer grids give smaller local interpolation error
     f = make_benchmark()
-    nodes = regular_nodes(2, 2)
-    solver = LocalInterpolator(nodes)
+    solver = LocalInterpolator(regular_nodes(2, 2), 2)
     rng = np.random.default_rng(2)
     probe = rng.random((200, 2))
     worst = []
     for m in (1, 2, 4, 8):
         offsets = subcube_indices(m, 2).astype(float)
-        node_pts = (nodes.points[None, :, :] + offsets[:, None, :]) / m
+        node_pts = (solver.points[None, :, :] + offsets[:, None, :]) / m
         values = f(node_pts.reshape(-1, 2)).reshape(m * m, -1)
         coeffs = solver.solve(values.T)
         sample_pts = (probe[None, :, :] + offsets[:, None, :]) / m
@@ -132,10 +130,9 @@ def test_shifted_interpolation_reproduces_polynomials():
     rng = np.random.default_rng(9)
     base = regular_nodes(2, 2)
     for _ in range(20):
-        nodes = shifted_nodes(base, rng.random(2))
-        solver = LocalInterpolator(nodes)
+        solver = LocalInterpolator(shifted_nodes(base, rng.random(2)), 2)
         coeffs = rng.uniform(-1, 1, 3)
-        values = solver.design_matrix(nodes.points) @ coeffs
+        values = solver.design_matrix(solver.points) @ coeffs
         assert np.allclose(solver.solve(values), coeffs, atol=1e-9)
 
 

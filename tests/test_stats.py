@@ -26,10 +26,9 @@ from scvquad.testbed import random_poly
 from scvquad.testbed import test_function_2d as make_benchmark
 
 
-def _sample(errors, R=None):
-    errors = np.asarray(errors, dtype=float)
+def _sample(errors):
     cfg = EstimatorConfig(method=Method.SCV, s=2, m=2)
-    return ErrorSample(errors=errors, config=cfg, R=R or len(errors), master_seed=0)
+    return ErrorSample(errors=errors, config=cfg)
 
 
 def test_derive_seed_stable_and_distinct():
@@ -270,4 +269,4 @@ def test_mz_default_suite_passes():
 def test_error_sample_shape_validation():
     cfg = EstimatorConfig(method=Method.SCV, s=2, m=2)
     with pytest.raises(ValueError):
-        ErrorSample(errors=np.zeros(3), config=cfg, R=4, master_seed=0)
+        ErrorSample(errors=np.zeros((3, 1)), config=cfg)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scvquad.estimators import EstimatorConfig, Method, scv, stratified
+from scvquad.estimators import EstimatorConfig, Method, run
 from scvquad.grid import poly_dim
 from scvquad.testbed import (
     BumpSpec,
@@ -89,7 +89,7 @@ def test_integrand_rejects_wrongly_shaped_output():
 def test_integrand_rejects_non_finite_output():
     f = Integrand(lambda pts: np.where(pts[:, 0] < 0.5, 1.0, np.nan), dim=2)
     with pytest.raises(ValueError, match="non-finite"):
-        scv(f, EstimatorConfig(method=Method.SCV, s=2, m=4, seed=1))
+        run(f, EstimatorConfig(method=Method.SCV, s=2, m=4, seed=1))
     g = Integrand(lambda pts: 1.0 / pts[:, 0], dim=1)
     with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
         g(np.array([[0.0]]))
@@ -98,7 +98,7 @@ def test_integrand_rejects_non_finite_output():
 def test_counter_under_scv_matches_budget():
     f = make_benchmark()
     cfg = EstimatorConfig(method=Method.SCV, s=2, m=4, seed=3)
-    scv(f, cfg)
+    run(f, cfg)
     assert f.evals == 2 * 3 * 16
 
 
@@ -231,7 +231,7 @@ def test_exact_integrals_agree_with_stratified_sampling(factory):
     f = factory()
     # 10^6 cells, one sample each; the plain Monte Carlo standard error of
     # 10^6 points bounds the stratified estimator's
-    result = stratified(f, EstimatorConfig(method=Method.STRAT, s=1, m=1000, seed=17))
+    result = run(f, EstimatorConfig(method=Method.STRAT, s=1, m=1000, seed=17))
     rng = np.random.default_rng(18)
     sample = f(rng.random((200_000, f.dim)))
     se = sample.std(ddof=1) / math.sqrt(1_000_000)
