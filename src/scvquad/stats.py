@@ -6,9 +6,9 @@ fractions, and provides Monte Carlo verifiers for the two concentration
 inequalities that underpin the error analysis (a p-norm Hoeffding bound
 and a Marcinkiewicz-Zygmund moment bound).
 
-Replications may be distributed over worker threads; every reduction is
-indexed by replication number, so results are independent of the worker
-count.
+An ensemble derives its replications' seeds at once; in deterministic
+mode it fits the interpolant once and stacks its replications.  Either
+way replication i's bits depend only on i, not on R or the worker count.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .estimators import EstimatorConfig, run
+from .estimators import SHIFTED, EstimatorConfig, _estimates, _fit, _seed_state, run
 from .testbed import Integrand
 
 __all__ = [
@@ -79,6 +80,26 @@ class ErrorSample:
         return self.errors.size
 
 
+def _derive_seeds(master_seed: int, n: int) -> np.ndarray:
+    """``derive_seed(master_seed, i)`` for every i < n (below 2^32) as uint64:
+    SeedSequence hashes the master's 32-bit words, padded with zeros to
+    four, then the index as one word."""
+    master = int(master_seed)
+    if master < 0:
+        raise ValueError(f"master seed must be non-negative, got {master}")
+    n_words = max(4, -(-master.bit_length() // 32))
+    words = [(master >> 32 * j) & 0xFFFFFFFF for j in range(n_words)]
+    lo, hi = _seed_state(words + [np.arange(n, dtype=np.uint64)], 2)
+    return lo | hi << 32
+
+
+def _map(fn, items, workers: int) -> list:
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def replicate(
     f: Integrand,
     cfg: EstimatorConfig,
@@ -86,28 +107,30 @@ def replicate(
     master_seed: int,
     workers: int = 1,
 ) -> ErrorSample:
-    """R independent runs with per-replication seeds derived from the master.
+    """R independent runs, replication i under seed ``derive_seed(master_seed, i)``.
 
-    Requires the integrand's exact integral.  Errors are returned in
-    replication-index order, so the result is bit-identical for any number
-    of workers.
+    Requires the integrand's exact integral.  In deterministic mode the
+    interpolant does not depend on the seed: it is fitted once and shared,
+    so the ensemble spends ``n0*m^d`` node evaluations plus each
+    replication's residual samples, and `workers` threads each take a
+    contiguous share of the replications, stacked in bounded blocks.  In
+    shifted mode each replication is one :func:`run` call.  Either way the
+    errors, in replication order, equal ``run(f, replace(cfg,
+    seed=derive_seed(master_seed, i))).value - exact`` bit for bit, for any
+    R and any number of workers.
     """
     if f.exact_integral is None:
         raise ValueError(f"integrand {f.label!r} has no exact integral to compare against")
     if R < 1:
         raise ValueError(f"need R >= 1, got R={R}")
-    exact = f.exact_integral
-
-    def one(i: int) -> float:
-        rep_cfg = replace(cfg, seed=derive_seed(master_seed, i))
-        return run(f, rep_cfg).value - exact
-
-    if workers <= 1:
-        errors = [one(i) for i in range(R)]
+    seeds = _derive_seeds(master_seed, R)
+    if cfg.interpolation_mode == SHIFTED:
+        values = _map(lambda seed: run(f, replace(cfg, seed=seed)).value, seeds.tolist(), workers)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(one, range(R)))
-    return ErrorSample(errors=np.array(errors), config=cfg)
+        fit = _fit(f, cfg)
+        shares = np.array_split(seeds, max(1, min(workers, R)))
+        values = np.concatenate(_map(partial(_estimates, f, cfg, fit), shares, workers))
+    return ErrorSample(errors=np.asarray(values) - f.exact_integral, config=cfg)
 
 
 def prob_error(sample: ErrorSample, delta: float) -> float:

@@ -35,7 +35,9 @@ class Integrand:
     Calls take a batch of points of shape (n, d) and return shape (n,);
     every row counts as one evaluation.  The counter is lock-protected so
     concurrent callers can share one instance.  `fn` must return n finite
-    values for n points; anything else raises ValueError.
+    values for n points; anything else raises ValueError.  A value must
+    depend only on its own point, bits included, not on the rest of the
+    batch: ensembles stack many replications into one call.
     """
 
     def __init__(self, fn, dim: int, exact_integral: float | None = None, label: str = ""):
@@ -98,7 +100,9 @@ def poly_integrand(coeffs, s: int, d: int, label: str = "") -> Integrand:
     exact = float(monomial_means(exponents) @ coeffs)
 
     def fn(pts):
-        return monomial_matrix(pts, exponents) @ coeffs
+        # a row sum, not a BLAS product, whose rounding can depend on a
+        # row's place in the batch
+        return (monomial_matrix(pts, exponents) * coeffs).sum(axis=1)
 
     return Integrand(fn, dim=d, exact_integral=exact, label=label or f"poly(s={s},d={d})")
 

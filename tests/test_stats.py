@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import scvquad.stats as stats
-from scvquad.estimators import EstimatorConfig, Method
+from scvquad import estimators
+from scvquad.estimators import DETERMINISTIC, SHIFTED, EstimatorConfig, Method, run
+from scvquad.grid import poly_dim
 from scvquad.stats import (
     Constant,
     ErrorSample,
@@ -22,7 +25,7 @@ from scvquad.stats import (
     verify_hoeffding_p,
     verify_mz,
 )
-from scvquad.testbed import random_poly
+from scvquad.testbed import Integrand, random_poly
 from scvquad.testbed import test_function_2d as make_benchmark
 
 
@@ -37,6 +40,73 @@ def test_derive_seed_stable_and_distinct():
     assert a != derive_seed(42, 1)
     assert a != derive_seed(43, 0)
     assert 0 <= a < 2**64
+
+
+def test_derive_seeds_match_derive_seed():
+    rng = np.random.default_rng(11)
+    masters = [0, 2**64 - 1, 2**70 + 5]
+    for low, high in ((0, 2**32), (2**32, 2**63), (2**63, 2**64)):
+        masters += [int(x) for x in rng.integers(low, high, 4, dtype=np.uint64)]
+    for master in masters:
+        seeds = stats._derive_seeds(master, 3000)
+        for i in [0, 1, 2999, *rng.integers(0, 3000, 40).tolist()]:
+            assert int(seeds[i]) == derive_seed(master, i), (master, i)
+
+
+def test_philox_keys_match_seed_sequence():
+    rng = np.random.default_rng(12)
+    one_word = [0, 1, 2**32 - 1, *rng.integers(0, 2**32, 30).tolist()]
+    two_words = [2**32, 2**64 - 1]
+    two_words += rng.integers(2**32, 2**64, 30, dtype=np.uint64).tolist()
+    seeds = one_word + two_words
+    keys = estimators._philox_keys(np.array(seeds, dtype=np.uint64))
+    for seed, key in zip(seeds, keys):
+        assert key.tolist() == np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+
+
+def _exp_sum(d):
+    exact = (math.e - 1.0) ** d
+    return Integrand(lambda pts: np.exp(pts.sum(axis=1)), dim=d, exact_integral=exact)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("mode", [DETERMINISTIC, SHIFTED])
+@pytest.mark.parametrize("s,d,m", [(1, 1, 3), (2, 2, 2), (3, 3, 1), (3, 2, 3), (2, 3, 2)])
+def test_replicate_equals_scalar_runs(monkeypatch, method, mode, s, d, m):
+    """Replication i of an ensemble is bitwise the estimate run alone under
+    derive_seed(master, i), for any worker count and however the
+    replications are stacked; stacks of three replications here."""
+    k = min(5, poly_dim(s, d) * m**d)
+    cfg = EstimatorConfig(method=method, s=s, m=m, k=k, interpolation_mode=mode)
+    points = math.prod(estimators._sample_shape(cfg, d)[:-1])
+    monkeypatch.setattr(estimators, "_BLOCK_POINTS", 3 * points)
+    f, R, master = _exp_sum(d), 10, 2**63 + 17
+    expected = np.array(
+        [run(f, replace(cfg, seed=derive_seed(master, i))).value for i in range(R)]
+    ) - f.exact_integral
+    for workers in (1, 2, 3):
+        errors = replicate(f, cfg, R, master, workers=workers).errors
+        assert errors.tobytes() == expected.tobytes(), workers
+
+
+def test_replicate_equals_scalar_runs_across_default_block():
+    f = make_benchmark()
+    cfg = EstimatorConfig(method=Method.SCV, s=2, m=4)
+    R = estimators._BLOCK_POINTS // 48 + 5  # 48 sample points per replication
+    seeds = [derive_seed(3, i) for i in range(R)]
+    expected = np.array([run(f, replace(cfg, seed=seed)).value for seed in seeds]) - 1.0
+    for workers in (1, 2):  # one share crosses the stack boundary, two do not
+        assert replicate(f, cfg, R, 3, workers=workers).errors.tobytes() == expected.tobytes()
+
+
+def test_deterministic_ensemble_fits_once():
+    f = make_benchmark()
+    cfg = EstimatorConfig(method=Method.SCV, s=2, m=4)
+    n0, cells, R = poly_dim(2, 2), 16, 300
+    replicate(f, cfg, R, master_seed=8, workers=2)
+    assert f.evals == n0 * cells + R * n0 * cells
+    before = f.evals
+    assert run(f, replace(cfg, seed=1)).evals == f.evals - before == cfg.budget(2)
 
 
 def test_replicate_polynomial_is_exact():
