@@ -16,7 +16,6 @@ produce byte-identical CSV.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -52,6 +51,9 @@ EXIT_VERIFY = 2
 
 _METHOD_ORDER = list(Method)
 
+# Ceiling on --threads: an ensemble starts up to that many OS threads.
+_MAX_THREADS = 256
+
 
 class ConfigError(ValueError):
     """Invalid campaign configuration."""
@@ -61,6 +63,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError(f"need an integer >= 1, got {value}")
+    return value
+
+
+def _threads(text: str) -> int:
+    value = _positive_int(text)
+    if value > _MAX_THREADS:
+        raise ValueError(f"need at most {_MAX_THREADS} threads, got {value}")
     return value
 
 
@@ -128,7 +137,7 @@ class _Setting(NamedTuple):
 # config-file keys of the settings it declares in _COMMANDS.
 _SETTINGS = {
     "seed": _Setting("--seed", "seed", _seed, "master seed (fallback: SCV_SEED env var)"),
-    "threads": _Setting("--threads", None, _positive_int, "replication workers"),
+    "threads": _Setting("--threads", None, _threads, "replication workers"),
     "methods": _Setting("--method", "method", _methods, "comma-separated method names"),
     "s": _Setting("--s", "s", _positive_int, "interpolation order"),
     "d": _Setting(None, "d", _positive_int),
@@ -186,33 +195,22 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(out=Path(args.out) if args.out else None, **values)
 
 
-def _fmt(value) -> str:
-    """Full round-trip decimal formatting for CSV fields."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One line per row, fields joined by commas with `str` (a float's
+    shortest round-trip repr); no field holds a comma or a quote."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _summary_path(out: Path) -> Path:
-    return out.with_name(out.stem + "_summary" + (out.suffix or ".csv"))
-
-
-def _ensembles(settings, m_list: list[int], raw_rows: list):
+def _ensembles(settings, m_list: list[int]) -> list:
     """Replication ensembles of the 2-d test function per (method, m).
 
     Skips, with a line on stderr, configurations whose budget cannot be
-    met.  Appends each ensemble's raw rows to `raw_rows` and yields its
-    summary-row prefix with the error sample.
+    met.  Returns each ensemble's summary-row prefix with its error sample.
     """
     f = test_function_2d()
+    ensembles = []
     for method in settings.methods:
         for m in m_list:
             cfg = EstimatorConfig(method=method, s=settings.s, m=m, k=settings.k,
@@ -224,33 +222,35 @@ def _ensembles(settings, m_list: list[int], raw_rows: list):
                 continue
             seed = derive_seed(settings.seed, _METHOD_ORDER.index(method), m)
             sample = replicate(f, cfg, settings.reps, seed, workers=settings.threads)
-            base = [method.value, settings.s, f.dim, m, evals]
-            raw_rows.extend(base + [rep, float(err)] for rep, err in enumerate(sample.errors))
-            yield base, sample
+            ensembles.append(([method.value, settings.s, f.dim, m, evals], sample))
+    return ensembles
 
 
-def _write_campaign(out: Path, raw_rows: list, summary_rows: list) -> None:
-    _write_csv(out, RAW_HEADER, raw_rows)
-    _write_csv(_summary_path(out), SUMMARY_HEADER, summary_rows)
-    print(f"wrote {out} and {_summary_path(out)}")
+def _write_campaign(out: Path, ensembles: list, summary_rows: list) -> None:
+    """The raw rows of every ensemble to `out`, the summary rows beside it."""
+    summary = out.with_name(out.stem + "_summary" + (out.suffix or ".csv"))
+    _write_csv(out, RAW_HEADER, (base + [rep, err] for base, sample in ensembles
+                                 for rep, err in enumerate(sample.errors.tolist())))
+    _write_csv(summary, SUMMARY_HEADER, summary_rows)
+    print(f"wrote {out} and {summary}")
 
 
 def cmd_rates(settings) -> int:
     """Replication ensembles per (method, m); raw errors plus max/quantile summaries."""
-    raw_rows = []
+    ensembles = _ensembles(settings, settings.m_list)
     summary_rows = []
-    for base, sample in _ensembles(settings, settings.m_list, raw_rows):
+    for base, sample in ensembles:
         summary_rows.append(base + ["max_abs_error", float(abs(sample.errors).max())])
         summary_rows.append(base + ["q99_error", prob_error(sample, 0.01)])
-    _write_campaign(settings.out or Path("rates.csv"), raw_rows, summary_rows)
+    _write_campaign(settings.out or Path("rates.csv"), ensembles, summary_rows)
     return EXIT_OK
 
 
 def cmd_histogram(settings) -> int:
     """Signed-error distribution per method at one grid size."""
-    raw_rows = []
+    ensembles = _ensembles(settings, [settings.m])
     summary_rows = []
-    for base, sample in _ensembles(settings, [settings.m], raw_rows):
+    for base, sample in ensembles:
         summary_rows.append(base + ["mean_error", float(sample.errors.mean())])
         for threshold in settings.thresholds:
             summary_rows.append(
@@ -260,7 +260,7 @@ def cmd_histogram(settings) -> int:
             summary_rows.append(base + [f"hist_left_{i}", left])
             summary_rows.append(base + [f"hist_right_{i}", right])
             summary_rows.append(base + [f"hist_count_{i}", count])
-    _write_campaign(settings.out or Path("histogram.csv"), raw_rows, summary_rows)
+    _write_campaign(settings.out or Path("histogram.csv"), ensembles, summary_rows)
     return EXIT_OK
 
 

@@ -93,25 +93,11 @@ class EstimatorConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     def budget(self, d: int) -> int:
-        """Exact number of integrand evaluations the method will spend.
-
-        SCV and CV: n0*m^d node evaluations plus n0*m^d residual samples.
-        CV_MOM: node evaluations plus k*floor(n0*m^d / k) residual samples.
-        STRAT: m^d.
-        """
-        md = self.m**d
-        if self.method is Method.STRAT:
-            return md
-        n0 = poly_dim(self.s, d)
-        if self.method is Method.CV_MOM:
-            n1 = (n0 * md) // self.k
-            if n1 < 1:
-                raise BudgetError(
-                    f"median-of-means needs n0*m^d >= k residual samples, "
-                    f"got {n0}*{md} < {self.k}"
-                )
-            return n0 * md + self.k * n1
-        return 2 * n0 * md
+        """Exact number of integrand evaluations the method will spend:
+        n0*m^d node evaluations (none for STRAT) plus the points of the
+        sample block (see :func:`_sample_shape`)."""
+        nodes = 0 if self.method is Method.STRAT else poly_dim(self.s, d) * self.m**d
+        return nodes + math.prod(_sample_shape(self, d)[:-1])
 
 
 @dataclass(frozen=True)
@@ -219,14 +205,24 @@ def _fit(f: Integrand, cfg: EstimatorConfig, rng: np.random.Generator | None = N
 
 
 def _sample_shape(cfg: EstimatorConfig, d: int) -> tuple[int, ...]:
-    """Shape of the one block of uniforms an estimate draws after the fit."""
+    """Shape of the one block of uniforms an estimate draws after the fit.
+
+    STRAT: one point per cell.  SCV: n0 points per cell.  CV and CV+MoM:
+    k groups of ``n1 = floor(n0*m^d / k)`` whole-cube points, k = 1 for CV;
+    BudgetError if a group would be empty.
+    """
     cells = cfg.m**d
     if cfg.method is Method.STRAT:
         return (cells, d)
     n0 = poly_dim(cfg.s, d)
     if cfg.method is Method.SCV:
         return (cells, n0, d)
-    return (cfg.budget(d) - n0 * cells, d)  # the whole-cube residual samples
+    k = cfg.k if cfg.method is Method.CV_MOM else 1
+    if n0 * cells < k:
+        raise BudgetError(
+            f"median-of-means needs n0*m^d >= k residual samples, got {n0}*{cells} < {k}"
+        )
+    return (k, n0 * cells // k, d)
 
 
 def _scv(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[float]:
@@ -260,8 +256,7 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[
     """
     plan, solver, coeffs, means = fit
     int_g = math.fsum(means.tolist()) / plan.n_cubes
-    k = cfg.k if cfg.method is Method.CV_MOM else 1
-    n1 = u.shape[1] // k
+    k, n1 = u.shape[1:3]
     x = u.reshape(-1, plan.d)
     xm = x * plan.m
     cells = np.minimum(xm.astype(np.int64), plan.m - 1)

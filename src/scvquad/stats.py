@@ -109,13 +109,13 @@ def replicate(
 ) -> ErrorSample:
     """R independent runs, replication i under seed ``derive_seed(master_seed, i)``.
 
-    Requires the integrand's exact integral.  In deterministic mode the
+    Requires the integrand's exact integral.  `workers` threads each take
+    a contiguous share of the replications.  In deterministic mode the
     interpolant does not depend on the seed: it is fitted once and shared,
     so the ensemble spends ``n0*m^d`` node evaluations plus each
-    replication's residual samples, and `workers` threads each take a
-    contiguous share of the replications, stacked in bounded blocks.  In
-    shifted mode each replication is one :func:`run` call.  Either way the
-    errors, in replication order, equal ``run(f, replace(cfg,
+    replication's residual samples, stacked in bounded blocks.  In shifted
+    mode each replication is one :func:`run` call.  Either way the errors,
+    in replication order, equal ``run(f, replace(cfg,
     seed=derive_seed(master_seed, i))).value - exact`` bit for bit, for any
     R and any number of workers.
     """
@@ -123,14 +123,14 @@ def replicate(
         raise ValueError(f"integrand {f.label!r} has no exact integral to compare against")
     if R < 1:
         raise ValueError(f"need R >= 1, got R={R}")
-    seeds = _derive_seeds(master_seed, R)
+    shares = np.array_split(_derive_seeds(master_seed, R), max(1, min(workers, R)))
     if cfg.interpolation_mode == SHIFTED:
-        values = _map(lambda seed: run(f, replace(cfg, seed=seed)).value, seeds.tolist(), workers)
+        def work(share):
+            return [run(f, replace(cfg, seed=seed)).value for seed in share.tolist()]
     else:
-        fit = _fit(f, cfg)
-        shares = np.array_split(seeds, max(1, min(workers, R)))
-        values = np.concatenate(_map(partial(_estimates, f, cfg, fit), shares, workers))
-    return ErrorSample(errors=np.asarray(values) - f.exact_integral, config=cfg)
+        work = partial(_estimates, f, cfg, _fit(f, cfg))
+    values = np.concatenate(_map(work, shares, workers))
+    return ErrorSample(errors=values - f.exact_integral, config=cfg)
 
 
 def prob_error(sample: ErrorSample, delta: float) -> float:

@@ -1,6 +1,7 @@
 import csv
 import re
 
+import numpy as np
 import pytest
 
 from scvquad import cli
@@ -155,6 +156,40 @@ def test_bad_configs_exit_one(tmp_path, capsys):
     bad.write_text("thresholds = nan\n")
     assert main(["histogram", "--config", str(bad)]) == EXIT_CONFIG  # before any replication
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["rates", "histogram", "tails"])
+def test_threads_above_ceiling_exit_one(command, capsys):
+    # rejected by the parser, so no pool is ever opened
+    assert main([command, "--threads", str(cli._MAX_THREADS + 1)]) == EXIT_CONFIG
+    assert "--threads: need at most" in capsys.readouterr().err
+    assert cli._SETTINGS["threads"].parse(str(cli._MAX_THREADS)) == cli._MAX_THREADS
+
+
+def test_write_csv_formats_numpy_floats_as_python_floats(tmp_path):
+    out = tmp_path / "t.csv"
+    cli._write_csv(out, ["a", "b", "c"], [["x", np.float64(0.1), np.int64(3)], ["y", 1e-17, 2]])
+    assert out.read_text() == "a,b,c\nx,0.1,3\ny,1e-17,2\n"
+
+
+def test_histogram_raw_errors_round_trip_bitwise(tmp_path, monkeypatch):
+    samples = []
+    inner = cli.replicate
+
+    def capture(*args, **kwargs):
+        samples.append(inner(*args, **kwargs))
+        return samples[-1]
+
+    monkeypatch.setattr(cli, "replicate", capture)
+    out = tmp_path / "hist.csv"
+    assert main(["histogram", "--seed", "2", "--m", "2", "--reps", "40",
+                 "--method", "scv,cv,strat", "--out", str(out)]) == EXIT_OK
+    raw = _read(out)[1:]
+    assert [s.config.method.value for s in samples] == ["scv", "cv", "strat"]
+    for sample in samples:
+        method = sample.config.method.value
+        written = np.array([float(row[6]) for row in raw if row[0] == method])
+        assert written.tobytes() == sample.errors.tobytes(), method
 
 
 def test_verify_exit_code_on_violation(monkeypatch, tmp_path):
