@@ -17,7 +17,6 @@ from .grid import poly_dim, regular_nodes, shifted_nodes, subcube_indices
 from .interp import UnisolvenceError
 from .stats import (
     ErrorSample,
-    RateFit,
     fit_rate,
     histogram,
     prob_error,
@@ -38,7 +37,6 @@ __all__ = [
     "EstimatorConfig",
     "Integrand",
     "Method",
-    "RateFit",
     "UnisolvenceError",
     "bump",
     "corner_bump",

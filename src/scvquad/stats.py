@@ -29,7 +29,6 @@ __all__ = [
     "ErrorSample",
     "replicate",
     "prob_error",
-    "RateFit",
     "fit_rate",
     "histogram",
     "tail_fraction",
@@ -147,19 +146,10 @@ def prob_error(sample: ErrorSample, delta: float) -> float:
     return float(np.sort(np.abs(sample.errors))[rank - 1])
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares power-law fit of error against budget, in log space."""
+def fit_rate(pairs) -> float:
+    """Slope of the ordinary least-squares line ``log e = slope*log n + intercept``.
 
-    slope: float
-    residual: float
-
-
-def fit_rate(pairs) -> RateFit:
-    """Ordinary least squares for ``log e = slope*log n + intercept``.
-
-    `residual` is the RMS misfit in log space.  Two points give the exact
-    degenerate fit; all values must be positive.
+    Two points give the exact degenerate fit; all values must be positive.
     """
     points = tuple((float(n), float(e)) for n, e in pairs)
     if len(points) < 2:
@@ -167,11 +157,7 @@ def fit_rate(pairs) -> RateFit:
     arr = np.asarray(points, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("rate fits need strictly positive budgets and errors")
-    x = np.log(arr[:, 0])
-    y = np.log(arr[:, 1])
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(slope=float(slope), residual=residual)
+    return float(np.polyfit(np.log(arr[:, 0]), np.log(arr[:, 1]), 1)[0])
 
 
 def histogram(sample: ErrorSample, bins: int) -> list[tuple[float, float, int]]:
@@ -292,6 +278,11 @@ class HoeffdingReport:
     def holds(self) -> bool:
         return self.empirical_fail_rate <= self.delta
 
+    @property
+    def detail(self) -> str:
+        return (f"fail_rate={self.empirical_fail_rate:.6f} <= delta={self.delta:g} "
+                f"(bound={self.bound:.6g}, trials={self.trials})")
+
 
 def verify_hoeffding_p(
     p: float,
@@ -335,6 +326,10 @@ def verify_hoeffding_p(
 # Marcinkiewicz-Zygmund verifier
 
 
+# slack MZReport.holds allows for Monte Carlo noise, in summed standard errors
+_SIGMAS = 3.0
+
+
 def mz_constant(q: float) -> float:
     """Usable (not optimal) constant: ``2^(1+1/q)`` for q <= 2, ``2(q-1)`` above."""
     if q < 1.0:
@@ -358,8 +353,14 @@ class MZReport:
     rhs_stderr: float
     label: str = ""
 
-    def satisfied(self, sigmas: float = 3.0) -> bool:
-        return self.lhs <= self.rhs + sigmas * (self.lhs_stderr + self.rhs_stderr)
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs + _SIGMAS * (self.lhs_stderr + self.rhs_stderr)
+
+    @property
+    def detail(self) -> str:
+        slack = _SIGMAS * (self.lhs_stderr + self.rhs_stderr)
+        return f"lhs={self.lhs:.6g} <= rhs={self.rhs:.6g} (+/- {slack:.2g} at {_SIGMAS:g} sigma)"
 
 
 def _power_mean_with_stderr(values: np.ndarray, q: float) -> tuple[float, float]:

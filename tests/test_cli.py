@@ -166,6 +166,13 @@ def test_threads_above_ceiling_exit_one(command, capsys):
     assert cli._SETTINGS["threads"].parse(str(cli._MAX_THREADS)) == cli._MAX_THREADS
 
 
+def test_trials_above_ceiling_exit_one(capsys):
+    # rejected by the parser, before any suite draws
+    assert main(["verify", "--trials", str(cli._MAX_TRIALS + 1)]) == EXIT_CONFIG
+    assert "--trials: need at most" in capsys.readouterr().err
+    assert cli._SETTINGS["trials"].parse(str(cli._MAX_TRIALS)) == cli._MAX_TRIALS
+
+
 def test_write_csv_formats_numpy_floats_as_python_floats(tmp_path):
     out = tmp_path / "t.csv"
     cli._write_csv(out, ["a", "b", "c"], [["x", np.float64(0.1), np.int64(3)], ["y", 1e-17, 2]])
@@ -282,15 +289,17 @@ def test_campaign_reads_every_declared_setting(command, tmp_path, capsys):
     assert settings.read == set(defaults) | {"out"}
 
 
-# Expected output of three small default campaigns, recorded from the code
+# Expected output of four small default campaigns, recorded from the code
 # they guard.  Each file's line count, and every listed row: the raw rates
-# errors, the histogram rows other than its bins, and the tails summary.
+# errors, the histogram rows other than its bins, and the tails summary;
+# the verify text whole.
 # Campaign seeds derive from the order of `Method` and each estimate's
 # values from its stream's draw order, so a change to either moves them.
 _CAMPAIGNS = [
     (["rates", "--seed", "3", "--reps", "3", "--m", "1,4"], "rates.csv"),
     (["histogram", "--seed", "3", "--reps", "20"], "hist.csv"),
     (["tails", "--seed", "3", "--reps", "20"], "tails.csv"),
+    (["verify", "--seed", "3", "--trials", "2000"], "verify.txt"),
 ]
 _LINE_COUNTS = {"rates.csv": 16, "rates_summary.csv": 11, "hist.csv": 61,
                 "hist_summary.csv": 460, "tails.csv": 8}
@@ -331,6 +340,50 @@ scv,1,2,8,128,max_abs_error_delta_0.02,0.0034710022954362236
 scv,1,2,8,128,delta_exponent_max,-0.49999999999999933""",
 }
 
+_VERIFY_TEXT = """\
+PASS hoeffding[0] p=1.1 delta=0.2 n=1 uniform: fail_rate=0.000000 <= delta=0.2 (bound=3.4468, trials=2000)
+PASS hoeffding[1] p=1.1 delta=0.05 n=2 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=2.87577, trials=2000)
+PASS hoeffding[2] p=1.1 delta=0.01 n=4 uniform: fail_rate=0.000000 <= delta=0.01 (bound=0.929519, trials=2000)
+PASS hoeffding[3] p=1.1 delta=0.002 n=8 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=3.40298, trials=2000)
+PASS hoeffding[4] p=1.3 delta=0.2 n=16 uniform: fail_rate=0.000000 <= delta=0.2 (bound=2.25063, trials=2000)
+PASS hoeffding[5] p=1.3 delta=0.05 n=32 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=0.318773, trials=2000)
+PASS hoeffding[6] p=1.3 delta=0.01 n=64 uniform: fail_rate=0.000000 <= delta=0.01 (bound=0.0808199, trials=2000)
+PASS hoeffding[7] p=1.3 delta=0.002 n=1 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=4.17489, trials=2000)
+PASS hoeffding[8] p=1.5 delta=0.2 n=2 uniform: fail_rate=0.000000 <= delta=0.2 (bound=3.9615, trials=2000)
+PASS hoeffding[9] p=1.5 delta=0.05 n=4 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=2.41672, trials=2000)
+PASS hoeffding[10] p=1.5 delta=0.01 n=8 uniform: fail_rate=0.000000 <= delta=0.01 (bound=0.823671, trials=2000)
+PASS hoeffding[11] p=1.5 delta=0.002 n=16 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=3.07707, trials=2000)
+PASS hoeffding[12] p=1.7 delta=0.2 n=32 uniform: fail_rate=0.000000 <= delta=0.2 (bound=1.35038, trials=2000)
+PASS hoeffding[13] p=1.7 delta=0.05 n=64 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=0.1697, trials=2000)
+PASS hoeffding[14] p=1.7 delta=0.01 n=1 uniform: fail_rate=0.000000 <= delta=0.01 (bound=7.92956, trials=2000)
+PASS hoeffding[15] p=1.7 delta=0.002 n=2 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=8.21301, trials=2000)
+PASS hoeffding[16] p=1.9 delta=0.2 n=4 uniform: fail_rate=0.000000 <= delta=0.2 (bound=3.20704, trials=2000)
+PASS hoeffding[17] p=1.9 delta=0.05 n=8 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=1.40013, trials=2000)
+PASS hoeffding[18] p=1.9 delta=0.01 n=16 uniform: fail_rate=0.000000 <= delta=0.01 (bound=0.573597, trials=2000)
+PASS hoeffding[19] p=1.9 delta=0.002 n=32 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=2.43814, trials=2000)
+PASS mz[0] q=1.0 iid_uniform: lhs=0.161439 <= rhs=1.99812 (+/- 0.036 at 3 sigma)
+PASS mz[1] q=1.0 mixed: lhs=0.431636 <= rhs=4.38803 (+/- 0.047 at 3 sigma)
+PASS mz[2] q=1.0 single_rademacher: lhs=1 <= rhs=4 (+/- 0 at 3 sigma)
+PASS mz[3] q=1.0 asymmetric: lhs=0.113377 <= rhs=2.50454 (+/- 0.035 at 3 sigma)
+PASS mz[4] q=1.5 iid_uniform: lhs=0.187839 <= rhs=0.859435 (+/- 0.019 at 3 sigma)
+PASS mz[5] q=1.5 mixed: lhs=0.51267 <= rhs=2.28263 (+/- 0.029 at 3 sigma)
+PASS mz[6] q=1.5 single_rademacher: lhs=1 <= rhs=3.1748 (+/- 0 at 3 sigma)
+PASS mz[7] q=1.5 asymmetric: lhs=0.133169 <= rhs=0.884334 (+/- 0.016 at 3 sigma)
+PASS mz[8] q=2.0 iid_uniform: lhs=0.20563 <= rhs=0.408739 (+/- 0.014 at 3 sigma)
+PASS mz[9] q=2.0 mixed: lhs=0.568848 <= rhs=1.19478 (+/- 0.021 at 3 sigma)
+PASS mz[10] q=2.0 single_rademacher: lhs=1 <= rhs=2 (+/- 0 at 3 sigma)
+PASS mz[11] q=2.0 asymmetric: lhs=0.143357 <= rhs=0.379852 (+/- 0.01 at 3 sigma)
+PASS mz[12] q=3.0 iid_uniform: lhs=0.235145 <= rhs=0.888685 (+/- 0.018 at 3 sigma)
+PASS mz[13] q=3.0 mixed: lhs=0.637796 <= rhs=2.40664 (+/- 0.019 at 3 sigma)
+PASS mz[14] q=3.0 single_rademacher: lhs=1 <= rhs=4 (+/- 0 at 3 sigma)
+PASS mz[15] q=3.0 asymmetric: lhs=0.170323 <= rhs=0.862442 (+/- 0.015 at 3 sigma)
+PASS mz[16] q=4.0 iid_uniform: lhs=0.259225 <= rhs=1.41758 (+/- 0.024 at 3 sigma)
+PASS mz[17] q=4.0 mixed: lhs=0.681727 <= rhs=3.62826 (+/- 0.019 at 3 sigma)
+PASS mz[18] q=4.0 single_rademacher: lhs=1 <= rhs=6 (+/- 0 at 3 sigma)
+PASS mz[19] q=4.0 asymmetric: lhs=0.190041 <= rhs=1.40022 (+/- 0.019 at 3 sigma)
+all bounds hold
+"""
+
 
 def test_default_campaigns_reproduce_recorded_output(tmp_path):
     for argv, name in _CAMPAIGNS:
@@ -344,3 +397,4 @@ def test_default_campaigns_reproduce_recorded_output(tmp_path):
         # the last column is the float; allow a BLAS ulp, not a changed draw
         for row, want in zip(rows, expected):
             assert float(row[-1]) == pytest.approx(float(want[-1]), rel=1e-12, abs=0), (name, row)
+    assert (tmp_path / "verify.txt").read_text() == _VERIFY_TEXT

@@ -190,14 +190,12 @@ def test_prob_error_validation():
 def test_fit_rate_recovers_planted_slopes():
     n = np.array([10.0, 100.0, 1000.0, 10000.0])
     for slope in (-1.5, -1.0, -0.37):
-        fit = fit_rate(list(zip(n, 3.7 * n**slope)))
-        assert fit.slope == pytest.approx(slope, abs=1e-12)
-        assert fit.residual <= 1e-12
+        assert fit_rate(list(zip(n, 3.7 * n**slope))) == pytest.approx(slope, abs=1e-12)
 
 
 def test_fit_rate_two_points_degenerate():
-    fit = fit_rate([(10.0, 1.0), (1000.0, 0.01)])
-    assert fit.slope == pytest.approx(math.log(0.01) / math.log(100.0), rel=1e-12)
+    slope = fit_rate([(10.0, 1.0), (1000.0, 0.01)])
+    assert slope == pytest.approx(math.log(0.01) / math.log(100.0), rel=1e-12)
 
 
 def test_fit_rate_validation():
@@ -248,6 +246,9 @@ def test_hoeffding_zero_bounds():
     report = verify_hoeffding_p(1.5, np.zeros(4), 0.1, trials=1000, seed=0)
     assert report.bound == 0.0
     assert report.empirical_fail_rate == 0.0
+    assert report.holds
+    # a fail rate of exactly delta meets the guarantee
+    assert replace(report, empirical_fail_rate=report.delta).holds
 
 
 def test_hoeffding_bound_validation():
@@ -301,7 +302,11 @@ def test_mz_degenerate_constants():
     report = verify_mz(3.0, [Constant(0.7), Constant(-0.2)], trials=5000, seed=2)
     assert report.lhs == 0.0
     assert report.rhs > 0.0
-    assert report.satisfied()
+    assert report.holds
+    # lhs exactly at rhs plus 3 summed stderrs holds; one ulp above does not
+    boundary = replace(report, lhs=2.0, rhs=0.5, lhs_stderr=0.25, rhs_stderr=0.25)
+    assert boundary.holds
+    assert not replace(boundary, lhs=math.nextafter(2.0, 3.0)).holds
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0])
@@ -320,7 +325,7 @@ def test_mz_holds_across_q(q):
             else:
                 dists.append(Constant(float(rng.uniform(-1, 1))))
         report = verify_mz(q, dists, trials=20_000, seed=300 + i)
-        assert report.satisfied(sigmas=3.0)
+        assert report.holds
 
 
 def test_mz_validation():
@@ -333,7 +338,7 @@ def test_mz_validation():
 def test_mz_default_suite_passes():
     reports = mz_default_suite(trials=20_000, master_seed=0)
     assert len(reports) == 20
-    assert all(r.satisfied() for r in reports)
+    assert all(r.holds for r in reports)
 
 
 def test_error_sample_shape_validation():
