@@ -69,18 +69,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _threads(text: str) -> int:
-    value = _positive_int(text)
-    if value > _MAX_THREADS:
-        raise ValueError(f"need at most {_MAX_THREADS} threads, got {value}")
-    return value
-
-
-def _trials(text: str) -> int:
-    value = _positive_int(text)
-    if value > _MAX_TRIALS:
-        raise ValueError(f"need at most {_MAX_TRIALS} trials, got {value}")
-    return value
+def _at_most(limit: int, noun: str) -> Callable[[str], int]:
+    """Parser of a positive integer no larger than `limit`."""
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        if value > limit:
+            raise ValueError(f"need at most {limit} {noun}, got {value}")
+        return value
+    return parse
 
 
 def _seed(text: str) -> int:
@@ -147,7 +143,8 @@ class _Setting(NamedTuple):
 # config-file keys of the settings it declares in _COMMANDS.
 _SETTINGS = {
     "seed": _Setting("--seed", "seed", _seed, "master seed (fallback: SCV_SEED env var)"),
-    "threads": _Setting("--threads", None, _threads, "replication workers"),
+    "threads": _Setting("--threads", None, _at_most(_MAX_THREADS, "threads"),
+                        "replication workers"),
     "methods": _Setting("--method", "method", _methods, "comma-separated method names"),
     "s": _Setting("--s", "s", _positive_int, "interpolation order"),
     "d": _Setting(None, "d", _positive_int),
@@ -160,7 +157,7 @@ _SETTINGS = {
     "thresholds": _Setting(None, "thresholds", _thresholds),
     "bins": _Setting(None, "bins", _positive_int),
     "mode": _Setting("--mode", "mode", _mode, f"{DETERMINISTIC} or {SHIFTED} nodes"),
-    "trials": _Setting("--trials", "trials", _trials, "Monte Carlo trials"),
+    "trials": _Setting("--trials", "trials", _at_most(_MAX_TRIALS, "trials"), "Monte Carlo trials"),
 }
 
 

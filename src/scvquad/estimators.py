@@ -79,6 +79,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
+        for name in ("s", "m", "k", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # no fixed-width overflow in m**d
         if self.s < 1:
             raise ValueError(f"need s >= 1, got s={self.s}")
         if self.m < 1:
@@ -155,30 +160,10 @@ def _philox_keys(seeds: np.ndarray) -> np.ndarray:
     return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
 
 
-def _mapped_nodes(nodes: np.ndarray, offsets: np.ndarray, m: int) -> np.ndarray:
-    """Every cell's nodes in global coordinates: cells in lexicographic
-    order, nodes in node order within each cell, as one (m^d * n0, d) array."""
-    return ((nodes[None, :, :] + offsets[:, None, :]) / m).reshape(-1, nodes.shape[1])
-
-
-class _Plan:
-    """Shared geometry for one (s, d, m): the deterministic interpolator,
-    cell offsets and its nodes mapped into every cell (read-only)."""
-
-    def __init__(self, s: int, d: int, m: int):
-        self.d, self.m = d, m
-        self.base = LocalInterpolator(regular_nodes(s, d), s)
-        self.offsets = subcube_indices(m, d).astype(float)
-        self.n_cubes = self.offsets.shape[0]
-        self.node_points = _mapped_nodes(self.base.points, self.offsets, m)
-        self.node_points.flags.writeable = False
-        # lexicographic ravel strides for locating a sample's cell
-        self.strides = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
-
-
-@lru_cache(maxsize=8)
-def _plan(s: int, d: int, m: int) -> _Plan:
-    return _Plan(s, d, m)
+@lru_cache(maxsize=None)
+def _regular(s: int, d: int) -> LocalInterpolator:
+    """The deterministic node set's interpolator, shared by every grid size."""
+    return LocalInterpolator(regular_nodes(s, d), s)
 
 
 def _fit(f: Integrand, cfg: EstimatorConfig, rng: np.random.Generator | None = None):
@@ -187,21 +172,21 @@ def _fit(f: Integrand, cfg: EstimatorConfig, rng: np.random.Generator | None = N
 
     In shifted mode the shared shift is the first draw from `rng`; in
     deterministic mode nothing is drawn, so one fit serves every seed.
-    Evaluates f at the mapped nodes of all cells (lexicographic cell order,
-    node order within each cell) and solves the shared collocation system
-    against all value columns.  Returns (plan, solver, coeffs, cell_means)
+    Evaluates f at the node set mapped into every cell (lexicographic cell
+    order, node order within each cell) and solves the shared collocation
+    system against all value columns.  Returns (solver, coeffs, cell_means)
     with coeffs of shape (n0, m^d).
     """
     cfg.budget(f.dim)
     if cfg.method is Method.STRAT:
         return None
-    plan = _plan(cfg.s, f.dim, cfg.m)
-    solver, pts = plan.base, plan.node_points
+    solver = _regular(cfg.s, f.dim)
     if cfg.interpolation_mode == SHIFTED:
-        solver = LocalInterpolator(shifted_nodes(plan.base.points, rng.random(plan.d)), cfg.s)
-        pts = _mapped_nodes(solver.points, plan.offsets, plan.m)
-    coeffs = solver.solve(f(pts).reshape(plan.n_cubes, -1).T)
-    return plan, solver, coeffs, solver.moments @ coeffs
+        solver = LocalInterpolator(shifted_nodes(solver.points, rng.random(f.dim)), cfg.s)
+    offsets = subcube_indices(cfg.m, f.dim)
+    pts = (solver.points[None, :, :] + offsets[:, None, :]) / cfg.m
+    coeffs = solver.solve(f(pts.reshape(-1, f.dim)).reshape(len(offsets), -1).T)
+    return solver, coeffs, solver.moments @ coeffs
 
 
 def _sample_shape(cfg: EstimatorConfig, d: int) -> tuple[int, ...]:
@@ -232,13 +217,14 @@ def _scv(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[float]:
     X_i^(j) uniform on cell i.  Exact on polynomials of total degree < s,
     linear and unbiased.
     """
-    plan, solver, coeffs, means = fit
-    x = (u + plan.offsets[:, None, :]) / plan.m
-    fx = f(x.reshape(-1, plan.d)).reshape(u.shape[:-1])
-    design = solver.design_matrix(u.reshape(-1, plan.d)).reshape(*u.shape[:-1], -1)
+    solver, coeffs, means = fit
+    offsets = subcube_indices(cfg.m, f.dim)
+    x = (u + offsets[:, None, :]) / cfg.m
+    fx = f(x.reshape(-1, f.dim)).reshape(u.shape[:-1])
+    design = solver.design_matrix(u.reshape(-1, f.dim)).reshape(*u.shape[:-1], -1)
     gx = np.einsum("rcjn,nc->rcj", design, coeffs)
     per_cell = means + (fx - gx).mean(axis=2)
-    return [math.fsum(cells) / plan.n_cubes for cells in per_cell.tolist()]
+    return [math.fsum(cells) / len(offsets) for cells in per_cell.tolist()]
 
 
 def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[float]:
@@ -254,14 +240,16 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[
     it requires ``n0 * m^d >= k``.  An even k takes the mean of the two
     central order statistics.
     """
-    plan, solver, coeffs, means = fit
-    int_g = math.fsum(means.tolist()) / plan.n_cubes
+    solver, coeffs, means = fit
+    m, d = cfg.m, f.dim
+    int_g = math.fsum(means.tolist()) / len(means)
     k, n1 = u.shape[1:3]
-    x = u.reshape(-1, plan.d)
-    xm = x * plan.m
-    cells = np.minimum(xm.astype(np.int64), plan.m - 1)
+    x = u.reshape(-1, d)
+    xm = x * m
+    cells = np.minimum(xm.astype(np.int64), m - 1)
     local = xm - cells
-    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ plan.strides])
+    strides = m ** np.arange(d - 1, -1, -1, dtype=np.int64)  # lexicographic ravel
+    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ strides])
     groups = (f(x) - gx).reshape(len(u), k, n1).tolist()
     return [int_g + statistics.median(math.fsum(g) / n1 for g in rep) for rep in groups]
 
@@ -269,7 +257,7 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[
 def _stratified(f: Integrand, cfg: EstimatorConfig, fit: None, u: np.ndarray) -> list[float]:
     """Plain stratified sampling: one uniform sample per cell, averaged.
 
-    Needs no interpolation, so it builds no plan.
+    Needs no interpolation, so it reads only the cell offsets.
     """
     offsets = subcube_indices(cfg.m, f.dim)
     fx = f(((u + offsets) / cfg.m).reshape(-1, f.dim)).reshape(len(u), -1)

@@ -14,6 +14,7 @@ way replication i's bits depend only on i, not on R or the worker count.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -120,6 +121,7 @@ def replicate(
     """
     if f.exact_integral is None:
         raise ValueError(f"integrand {f.label!r} has no exact integral to compare against")
+    R = operator.index(R)  # TypeError for 2.5 or np.float64(3.0)
     if R < 1:
         raise ValueError(f"need R >= 1, got R={R}")
     shares = np.array_split(_derive_seeds(master_seed, R), max(1, min(workers, R)))

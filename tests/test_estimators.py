@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from scvquad.estimators import (
     run,
 )
 from scvquad.grid import poly_dim
-from scvquad.testbed import Integrand, random_poly
+from scvquad.stats import replicate
+from scvquad.testbed import BumpSpec, Integrand, bump, random_poly
 from scvquad.testbed import test_function_2d as make_benchmark
 
 
@@ -150,12 +153,32 @@ def test_stratified_m1_single_sample():
     assert result.value == f(rng.random((1, 2)))[0]
 
 
-def test_stratified_builds_no_plan():
-    # stratified sampling reads only the cell offsets; a cached interpolation
-    # plan at m=1000 would hold 10^6 mapped nodes for the process's life
-    estimators._plan.cache_clear()
+def test_stratified_builds_no_interpolator():
+    # stratified sampling reads only the cell offsets
+    estimators._regular.cache_clear()
     run(make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=1000, seed=4))
-    assert estimators._plan.cache_info().currsize == 0
+    assert estimators._regular.cache_info().currsize == 0
+
+
+def test_regular_interpolator_shared_across_grid_sizes():
+    estimators._regular.cache_clear()
+    for m in (3, 5):
+        run(make_benchmark(), EstimatorConfig(method=Method.SCV, s=2, m=m, seed=4))
+    assert estimators._regular.cache_info().currsize == 1
+
+
+def test_ensemble_holds_no_mapped_nodes():
+    # the n0 * m^d nodes mapped into the cells are freed with the fit
+    s, d, m = 3, 4, 12
+    f = bump(BumpSpec(s=s, d=d, p=1.0, sigma=0.3, center=(0.5,) * d))
+    tracemalloc.start()
+    try:
+        replicate(f, EstimatorConfig(method=Method.SCV, s=s, m=m), 4, master_seed=7)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < poly_dim(s, d) * m**d * d * 8 / 4
 
 
 def test_run_dispatches_all_methods():
@@ -180,14 +203,19 @@ def test_config_validation():
         EstimatorConfig(method=Method.SCV, s=1, m=1, seed=-1)
     with pytest.raises(ValueError):
         EstimatorConfig(method="crude", s=1, m=1)
+    for field, value in [("s", 2.0), ("m", 2.5), ("k", 3.0), ("seed", 1.5), ("seed", "7")]:
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            EstimatorConfig(**{"method": Method.SCV, "s": 1, "m": 1, field: value})
+    # numpy integers are accepted and stored as ints: 16**2 does not wrap in uint8
+    cfg = EstimatorConfig(method=Method.STRAT, s=np.int64(1), m=np.uint8(16), seed=np.uint64(5))
+    assert (cfg.s, cfg.m, cfg.seed) == (1, 16, 5) and type(cfg.m) is int
+    assert cfg.budget(2) == 256
 
 
 def test_unbiasedness_smoke():
     # light-weight check; the full-size version lives in the acceptance suite
     f = make_benchmark()
     cfg = EstimatorConfig(method=Method.SCV, s=2, m=4)
-    from scvquad.stats import replicate
-
     sample = replicate(f, cfg, 4000, master_seed=314)
     se = sample.errors.std(ddof=1) / math.sqrt(4000)
     assert abs(sample.errors.mean()) <= 4 * se

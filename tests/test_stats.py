@@ -141,6 +141,19 @@ def test_replicate_requires_exact_integral():
         replicate(f, EstimatorConfig(method=Method.STRAT, s=1, m=2), 4, master_seed=0)
 
 
+def test_replicate_rejects_non_integral_R(monkeypatch):
+    f, cfg = make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=2)
+    assert replicate(f, cfg, np.int64(3), master_seed=0).R == 3
+
+    def no_seeds(*args):
+        raise AssertionError("seeds derived for a rejected R")
+
+    monkeypatch.setattr(stats, "_derive_seeds", no_seeds)
+    for R in (2.5, np.float64(3.0), 3.0):
+        with pytest.raises(TypeError):
+            replicate(f, cfg, R, master_seed=0)
+
+
 def test_prob_error_examples():
     sample = _sample(np.arange(1.0, 11.0))
     assert prob_error(sample, 0.2) == 8.0
