@@ -13,10 +13,11 @@ Reproducibility contract: each estimate consumes a single counter-based
 fixed (shift first, then one sample block), subcubes are traversed in
 lexicographic index order, and the outer accumulation over the m^d cells
 uses exact compensated summation.  Each method body takes a stack of
-sample blocks, one row per replication, and only elementwise operations
-and reductions within a replication's rows touch it.  So an estimate has
-the same bits alone (:func:`run`) or stacked with thousands on a shared
-fit (an ensemble in deterministic mode), whatever the worker count.
+sample blocks, one row per replication, and a stack of fits, one shared
+by all (deterministic mode) or one per replication (shifted mode); only
+elementwise operations, per-matrix solves and reductions within a
+replication's rows touch them.  So an estimate has the same bits alone
+(:func:`run`) or stacked with thousands, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -166,26 +167,27 @@ def _regular(s: int, d: int) -> LocalInterpolator:
     return LocalInterpolator(regular_nodes(s, d), s)
 
 
-def _fit(f: Integrand, cfg: EstimatorConfig, rng: np.random.Generator | None = None):
+def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     """Check the budget (BudgetError before any evaluation), then
     interpolate f on every subcube at once; STRAT gets None.
 
-    In shifted mode the shared shift is the first draw from `rng`; in
-    deterministic mode nothing is drawn, so one fit serves every seed.
-    Evaluates f at the node set mapped into every cell (lexicographic cell
-    order, node order within each cell) and solves the shared collocation
-    system against all value columns.  Returns (solver, coeffs, cell_means)
-    with coeffs of shape (n0, m^d).
+    With `shifts` of shape (R, d) the fit is a stack of R, one per shifted
+    node set (shifted mode); without, one fit of the regular nodes serves
+    every seed (a stack of one).  Evaluates f at the node sets mapped into
+    every cell (lexicographic cell order, node order within each cell) and
+    solves each collocation system against all its value columns.  Returns
+    (solver, coeffs, cell_means) with coeffs of shape (R or 1, n0, m^d).
     """
     cfg.budget(f.dim)
     if cfg.method is Method.STRAT:
         return None
     solver = _regular(cfg.s, f.dim)
-    if cfg.interpolation_mode == SHIFTED:
-        solver = LocalInterpolator(shifted_nodes(solver.points, rng.random(f.dim)), cfg.s)
+    if shifts is not None:
+        solver = LocalInterpolator(shifted_nodes(solver.points, shifts), cfg.s)
     offsets = subcube_indices(cfg.m, f.dim)
-    pts = (solver.points[None, :, :] + offsets[:, None, :]) / cfg.m
-    coeffs = solver.solve(f(pts.reshape(-1, f.dim)).reshape(len(offsets), -1).T)
+    pts = (solver.points[..., None, :, :] + offsets[:, None, :]) / cfg.m
+    values = f(pts.reshape(-1, f.dim)).reshape(-1, *pts.shape[-3:-1])
+    coeffs = solver.solve(np.swapaxes(values, -1, -2))
     return solver, coeffs, solver.moments @ coeffs
 
 
@@ -222,7 +224,7 @@ def _scv(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[float]:
     x = (u + offsets[:, None, :]) / cfg.m
     fx = f(x.reshape(-1, f.dim)).reshape(u.shape[:-1])
     design = solver.design_matrix(u.reshape(-1, f.dim)).reshape(*u.shape[:-1], -1)
-    gx = np.einsum("rcjn,nc->rcj", design, coeffs)
+    gx = np.einsum("rcjn,rnc->rcj", design, coeffs)
     per_cell = means + (fx - gx).mean(axis=2)
     return [math.fsum(cells) / len(offsets) for cells in per_cell.tolist()]
 
@@ -242,16 +244,21 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[
     """
     solver, coeffs, means = fit
     m, d = cfg.m, f.dim
-    int_g = math.fsum(means.tolist()) / len(means)
+    fit_of = np.arange(len(u)) % len(coeffs)  # each replication's fit; all 0 if shared
+    int_g = np.array([math.fsum(row) / len(row) for row in means.tolist()])[fit_of]
     k, n1 = u.shape[1:3]
     x = u.reshape(-1, d)
-    xm = x * m
-    cells = np.minimum(xm.astype(np.int64), m - 1)
-    local = xm - cells
+    local = x * m
+    cells = np.minimum(local.astype(np.int64), m - 1)
+    local -= cells
     strides = m ** np.arange(d - 1, -1, -1, dtype=np.int64)  # lexicographic ravel
-    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ strides])
+    rows = (cells @ strides).reshape(len(u), -1) + m**d * fit_of[:, None]
+    del cells  # the design matrix and the gathered rows are the peak; free what they do not need
+    table = np.swapaxes(coeffs, 1, 2).reshape(-1, coeffs.shape[1])  # C-ordered (fit, cell) rows
+    gx = np.einsum("ij,ij->i", solver.design_matrix(local), np.take(table, rows.ravel(), axis=0))
     groups = (f(x) - gx).reshape(len(u), k, n1).tolist()
-    return [int_g + statistics.median(math.fsum(g) / n1 for g in rep) for rep in groups]
+    return [g0 + statistics.median(math.fsum(g) / n1 for g in rep)
+            for g0, rep in zip(int_g.tolist(), groups)]
 
 
 def _stratified(f: Integrand, cfg: EstimatorConfig, fit: None, u: np.ndarray) -> list[float]:
@@ -274,30 +281,43 @@ _BODIES = {
 # Sample points per stack of replications: bounds an ensemble's memory for
 # any R.  A replication of 2^16 points or more (m=256, d=2) stacks alone.
 _BLOCK_POINTS = 1 << 15
+# A shifted stack also holds a fit per replication.  At 2^13 points a
+# default `tails` ensemble's traced peak is 0.9 MB (1.4 MB at 2^15, 0.04 MB
+# one estimate at a time), and time per replication has not yet risen.
+_SHIFTED_BLOCK_POINTS = 1 << 13
 
 
 def _estimates(f: Integrand, cfg: EstimatorConfig, fit, seeds: np.ndarray) -> np.ndarray:
-    """Values of the replications with the given seeds on one shared fit,
-    which must draw nothing (deterministic mode, or STRAT).
+    """Values of the replications with the given seeds.
 
-    Each replication's sample block is drawn from its own stream, as in
-    :func:`run`, by one reused Philox set to the seed's key at counter 0.
-    Stacks of up to ``_BLOCK_POINTS`` sample points go through f, the
-    design matrix and the einsum at once.
+    Each replication draws from its own stream, by one reused Philox set
+    to the seed's key at counter 0: in shifted mode its node shift (d
+    doubles) first, then its sample block.  `fit` is the shared fit of
+    deterministic mode (None for STRAT); in shifted mode it is ignored and
+    each stack is fitted on its own shifts.  Stacks of up to
+    ``_BLOCK_POINTS`` sample points (``_SHIFTED_BLOCK_POINTS`` in shifted
+    mode) go through the fit, f, the design matrix and the einsum at once.
     """
     shape = _sample_shape(cfg, f.dim)
-    per_stack = max(1, _BLOCK_POINTS // math.prod(shape[:-1]))
+    shifted = cfg.interpolation_mode == SHIFTED and cfg.method is not Method.STRAT
+    block = _SHIFTED_BLOCK_POINTS if shifted else _BLOCK_POINTS
+    per_stack = max(1, block // math.prod(shape[:-1]))
     gen = np.random.Generator(np.random.Philox(0))
     state = gen.bit_generator.state  # a fresh stream's: counter 0, empty buffer
     all_keys = _philox_keys(seeds)
     values = np.empty(len(seeds))
     for start in range(0, len(seeds), per_stack):
         keys = all_keys[start : start + per_stack].tolist()
+        shifts = np.empty((len(keys), f.dim))
         u = np.empty((len(keys), *shape))
         for r, key in enumerate(keys):
             state["state"]["key"] = key
             gen.bit_generator.state = state
+            if shifted:
+                gen.random(out=shifts[r])
             gen.random(out=u[r])
+        if shifted:
+            fit = _fit(f, cfg, shifts)
         values[start : start + len(keys)] = _BODIES[cfg.method](f, cfg, fit, u)
     return values
 
@@ -311,8 +331,6 @@ def run(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     :func:`_scv` and :func:`_whole_cube`.  STRAT takes one uniform sample
     per cell and no control variate.  This is the stack of one replication.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-    fit = _fit(f, cfg, rng)
-    u = rng.random((1, *_sample_shape(cfg, f.dim)))
-    value = _BODIES[cfg.method](f, cfg, fit, u)[0]
-    return EstimateRun(value=value, evals=cfg.budget(f.dim))
+    fit = None if cfg.interpolation_mode == SHIFTED else _fit(f, cfg)
+    value = _estimates(f, cfg, fit, np.array([cfg.seed], dtype=np.uint64))[0]
+    return EstimateRun(value=float(value), evals=cfg.budget(f.dim))

@@ -158,19 +158,20 @@ def regular_nodes(s: int, d: int) -> np.ndarray:
 def shifted_nodes(base: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Replace each base node x_j by ``(x_j + shift) / 2``.
 
-    The result stays inside the unit cube for any shift in [0, 1]^d, and
-    unisolvence is preserved because the map is an invertible affine
-    contraction of an already unisolvent set.
+    `shift` has shape (d,), or (..., d) for a stack of shifted node sets of
+    shape (..., n0, d).  The result stays inside the unit cube for any
+    shift in [0, 1]^d, and unisolvence is preserved because the map is an
+    invertible affine contraction of an already unisolvent set.
     """
     base, shift = np.asarray(base, dtype=float), np.asarray(shift, dtype=float)
-    if shift.shape != base.shape[1:]:
-        raise ValueError(f"shift must have shape {base.shape[1:]}, got {shift.shape}")
+    if shift.shape[-1:] != base.shape[1:]:
+        raise ValueError(f"shift must have shape (..., {base.shape[1]}), got {shift.shape}")
     if shift.min() < 0.0 or shift.max() > 1.0:
         raise ValueError("shift must lie inside the unit cube")
-    return (base + shift) / 2.0
+    return (base + shift[..., None, :]) / 2.0
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)  # m^d*d*8 bytes each: keep only the last few grids
 def _index_array(m: int, d: int) -> np.ndarray:
     grids = np.meshgrid(*([np.arange(m)] * d), indexing="ij")
     arr = np.stack(grids, axis=-1).reshape(-1, d).astype(np.int64)

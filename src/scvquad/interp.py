@@ -40,52 +40,54 @@ def monomial_means(exponents: np.ndarray) -> np.ndarray:
 
 class LocalInterpolator:
     """Interpolation by polynomials of total degree < s on one node set,
-    reused across subcubes.
+    reused across subcubes, or on a stack of node sets at once.
 
-    `points` has shape (n0, d) with ``n0 = poly_dim(s, d)`` and all
-    coordinates in [0, 1]; d is read from its shape.  The read-only
-    collocation `matrix` must have a reciprocal condition estimate `rcond`
-    of at least ``RCOND_MIN``, otherwise :class:`UnisolvenceError` is raised
-    rather than letting later solves produce garbage.  A batch of value
-    vectors (one column per subcube) resolves into coefficient vectors with
-    a single pivoted solve, and the mean of an interpolant over its cell is
-    ``moments @ coeffs``.
+    `points` has shape (n0, d), or (..., n0, d) for a stack, with
+    ``n0 = poly_dim(s, d)`` and all coordinates in [0, 1]; d is read from
+    its shape.  Each read-only collocation `matrix` must have a reciprocal
+    condition estimate `rcond` of at least ``RCOND_MIN``, otherwise
+    :class:`UnisolvenceError` is raised rather than letting later solves
+    produce garbage.  A batch of value vectors (one column per subcube)
+    resolves into coefficient vectors with a single pivoted solve per node
+    set, and the mean of an interpolant over its cell is ``moments @ coeffs``.
     """
 
     def __init__(self, points: np.ndarray, s: int):
         pts = np.asarray(points, dtype=float)
         d = pts.shape[-1]
         n0 = poly_dim(s, d)
-        if pts.shape != (n0, d):
-            raise ValueError(f"expected points of shape ({n0}, {d}), got {pts.shape}")
+        if pts.shape[-2:] != (n0, d):
+            raise ValueError(f"expected points of shape (..., {n0}, {d}), got {pts.shape}")
         if pts.min() < 0.0 or pts.max() > 1.0:
             raise ValueError("interpolation nodes must lie inside the unit cube")
         self.points = _readonly(pts)
         self.exponents = total_degree_exponents(s, d)
-        matrix = monomial_matrix(self.points, self.exponents)
+        matrix = monomial_matrix(self.points.reshape(-1, d), self.exponents)
+        matrix = matrix.reshape(*pts.shape[:-1], n0)
         cond = np.linalg.cond(matrix)
-        rcond = 1.0 / cond if np.isfinite(cond) and cond > 0 else 0.0
-        if rcond < RCOND_MIN:
+        rcond = np.where(np.isfinite(cond), 1.0 / cond, 0.0)  # 0 if singular or nan
+        if rcond.min() < RCOND_MIN:
             raise UnisolvenceError(
                 f"node set is not unisolvent for degree < {s}: "
-                f"reciprocal condition estimate {rcond:.3e} < {RCOND_MIN:.0e}"
+                f"reciprocal condition estimate {rcond.min():.3e} < {RCOND_MIN:.0e}"
             )
         self.matrix = _readonly(matrix)
-        self.rcond = float(rcond)
+        self.rcond = rcond if rcond.ndim else float(rcond)
         self.moments = monomial_means(self.exponents)
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return self.points.shape[-2]
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the interpolants matching `values` at the nodes.
 
-        `values` is either a vector of length n0 or an (n0, batch) matrix;
-        the result has the same shape, rows aligned with the exponent order.
+        `values` is either a vector of length n0 (for one node set) or an
+        (..., n0, batch) stack; the result has the same shape, rows aligned
+        with the exponent order.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape[0] != len(self):
-            raise ValueError(f"expected {len(self)} node values, got {values.shape[0]}")
+        if values.shape[-2 if values.ndim > 1 else 0] != len(self):
+            raise ValueError(f"expected {len(self)} node values, got shape {values.shape}")
         return np.linalg.solve(self.matrix, values)
 
     def design_matrix(self, points_local: np.ndarray) -> np.ndarray:

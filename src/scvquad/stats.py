@@ -6,8 +6,9 @@ fractions, and provides Monte Carlo verifiers for the two concentration
 inequalities that underpin the error analysis (a p-norm Hoeffding bound
 and a Marcinkiewicz-Zygmund moment bound).
 
-An ensemble derives its replications' seeds at once; in deterministic
-mode it fits the interpolant once and stacks its replications.  Either
+An ensemble derives its replications' seeds at once and stacks its
+replications: in deterministic mode on one shared fit of the interpolant,
+in shifted mode with one stacked fit per block of replications.  Either
 way replication i's bits depend only on i, not on R or the worker count.
 """
 
@@ -16,13 +17,14 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
-from .estimators import SHIFTED, EstimatorConfig, _estimates, _fit, _seed_state, run
+# `run` is not called here: bench/spans.py traces estimates by wrapping stats.run
+from .estimators import SHIFTED, EstimatorConfig, _estimates, _fit, _seed_state, run  # noqa: F401
 from .testbed import Integrand
 
 __all__ = [
@@ -84,7 +86,7 @@ def _derive_seeds(master_seed: int, n: int) -> np.ndarray:
     """``derive_seed(master_seed, i)`` for every i < n (below 2^32) as uint64:
     SeedSequence hashes the master's 32-bit words, padded with zeros to
     four, then the index as one word."""
-    master = int(master_seed)
+    master = operator.index(master_seed)  # TypeError for 3.7 or np.float64(3.0)
     if master < 0:
         raise ValueError(f"master seed must be non-negative, got {master}")
     n_words = max(4, -(-master.bit_length() // 32))
@@ -110,12 +112,13 @@ def replicate(
     """R independent runs, replication i under seed ``derive_seed(master_seed, i)``.
 
     Requires the integrand's exact integral.  `workers` threads each take
-    a contiguous share of the replications.  In deterministic mode the
-    interpolant does not depend on the seed: it is fitted once and shared,
-    so the ensemble spends ``n0*m^d`` node evaluations plus each
-    replication's residual samples, stacked in bounded blocks.  In shifted
-    mode each replication is one :func:`run` call.  Either way the errors,
-    in replication order, equal ``run(f, replace(cfg,
+    a contiguous share of the replications, stacked in bounded blocks.  In
+    deterministic mode the interpolant does not depend on the seed: it is
+    fitted once and shared, so the ensemble spends ``n0*m^d`` node
+    evaluations plus each replication's residual samples.  In shifted mode
+    each replication draws its own shift, and each block of replications
+    is fitted in one stacked call, so the ensemble spends R full budgets.
+    Either way the errors, in replication order, equal ``run(f, replace(cfg,
     seed=derive_seed(master_seed, i))).value - exact`` bit for bit, for any
     R and any number of workers.
     """
@@ -125,12 +128,8 @@ def replicate(
     if R < 1:
         raise ValueError(f"need R >= 1, got R={R}")
     shares = np.array_split(_derive_seeds(master_seed, R), max(1, min(workers, R)))
-    if cfg.interpolation_mode == SHIFTED:
-        def work(share):
-            return [run(f, replace(cfg, seed=seed)).value for seed in share.tolist()]
-    else:
-        work = partial(_estimates, f, cfg, _fit(f, cfg))
-    values = np.concatenate(_map(work, shares, workers))
+    fit = None if cfg.interpolation_mode == SHIFTED else _fit(f, cfg)
+    values = np.concatenate(_map(partial(_estimates, f, cfg, fit), shares, workers))
     return ErrorSample(errors=values - f.exact_integral, config=cfg)
 
 

@@ -62,6 +62,7 @@ def test_tracer_install_and_restore(tmp_path):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
     assert gc.isenabled()
     names = {span[0] for span in tracer.spans}
-    for layer in ("cli", "stats.replicate", "estimators.run", "grid.nodeset",
+    # shifted ensembles fit each stack of replications without calling run
+    for layer in ("cli", "stats.replicate", "grid.nodeset",
                   "interp.solve", "interp.design_matrix", "testbed.f"):
         assert layer in names, f"no {layer} span recorded"

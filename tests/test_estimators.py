@@ -153,6 +153,17 @@ def test_stratified_m1_single_sample():
     assert result.value == f(rng.random((1, 2)))[0]
 
 
+def test_shifted_run_draws_shift_then_samples():
+    f = make_benchmark()
+    cfg = EstimatorConfig(method=Method.SCV, s=1, m=1, interpolation_mode=SHIFTED, seed=21)
+    result = run(f, cfg)
+    # at s=1 the one node is the centre, shifted by the stream's first d doubles
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
+    at_node = f(((0.5 + rng.random(2)) / 2.0)[None])[0]
+    at_sample = f(rng.random((1, 2)))[0]
+    assert result.value == at_node + (at_sample - at_node)
+
+
 def test_stratified_builds_no_interpolator():
     # stratified sampling reads only the cell offsets
     estimators._regular.cache_clear()

@@ -56,6 +56,16 @@ def test_subcube_index_validation():
         subcube_indices(2, 0)
 
 
+def test_subcube_index_cache_keeps_four_grids():
+    grid._index_array.cache_clear()
+    first = subcube_indices(3, 2)
+    later = [subcube_indices(m, d) for m, d in ((4, 2), (5, 2), (6, 2), (7, 2))]
+    assert grid._index_array.cache_info().currsize == 4
+    assert subcube_indices(7, 2) is later[-1]
+    assert subcube_indices(3, 2) is not first  # the fifth grid evicted the first
+    assert subcube_indices(3, 2).tobytes() == first.tobytes()
+
+
 def test_subcube_cells_tile_the_cube():
     """Every point of [0,1)^d lies in exactly one cell (i + [0,1]^d)/m.
 
@@ -134,6 +144,29 @@ def test_shifted_nodes_validation():
         shifted_nodes(base, np.array([1.5, 0.0]))
     with pytest.raises(ValueError):
         shifted_nodes(base, np.array([0.5]))
+
+
+def test_shifted_node_stack_matches_one_at_a_time():
+    """A stack of shifted node sets, its collocation matrices, condition
+    estimates and solves are bitwise those of each node set alone."""
+    rng = np.random.default_rng(5)
+    base, shifts = regular_nodes(3, 2), rng.random((7, 2))
+    stack = LocalInterpolator(shifted_nodes(base, shifts), 3)
+    values = rng.standard_normal((7, len(stack), 4))
+    coeffs = stack.solve(values)
+    assert stack.points.shape == (7, 6, 2) and stack.rcond.shape == (7,)
+    for r, shift in enumerate(shifts):
+        alone = LocalInterpolator(shifted_nodes(base, shift), 3)
+        assert alone.points.tobytes() == stack.points[r].tobytes()
+        assert alone.matrix.tobytes() == stack.matrix[r].tobytes()
+        assert alone.rcond == stack.rcond[r]
+        assert alone.solve(values[r]).tobytes() == coeffs[r].tobytes()
+
+
+def test_node_stack_rejects_one_degenerate_member():
+    stack = np.stack([regular_nodes(2, 2), [[0.2, 0.2], [0.2, 0.2], [0.4, 0.4]]])
+    with pytest.raises(UnisolvenceError):
+        LocalInterpolator(stack, 2)
 
 
 def test_nodeset_rejects_degenerate_points():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import scvquad.stats as stats
-from scvquad import estimators
+from scvquad import estimators, interp
 from scvquad.estimators import DETERMINISTIC, SHIFTED, EstimatorConfig, Method, run
-from scvquad.grid import poly_dim
+from scvquad.grid import poly_dim, regular_nodes, shifted_nodes
+from scvquad.interp import LocalInterpolator, UnisolvenceError
 from scvquad.stats import (
     Constant,
     ErrorSample,
@@ -99,6 +100,55 @@ def test_replicate_equals_scalar_runs_across_default_block():
         assert replicate(f, cfg, R, 3, workers=workers).errors.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("method", [Method.SCV, Method.CV, Method.CV_MOM])
+def test_shifted_replicate_crosses_stacks(method):
+    """A shifted ensemble spanning several stacks of the default size is
+    bitwise the per-seed runs, at 1, 2 and 3 workers."""
+    f = make_benchmark()
+    cfg = EstimatorConfig(method=method, s=2, m=16, interpolation_mode=SHIFTED)
+    points = math.prod(estimators._sample_shape(cfg, 2)[:-1])
+    R = 4 * (estimators._SHIFTED_BLOCK_POINTS // points) + 3  # five stacks at one worker
+    expected = np.array([run(f, replace(cfg, seed=derive_seed(5, i))).value for i in range(R)])
+    for workers in (1, 2, 3):
+        errors = replicate(f, cfg, R, 5, workers=workers).errors
+        assert errors.tobytes() == (expected - 1.0).tobytes(), workers
+
+
+def _shift_rconds(cfg, d, master, R):
+    """rcond of each replication's shifted node set, its shift drawn as the
+    first d doubles of Philox(SeedSequence(seed))."""
+    rconds = []
+    for i in range(R):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(derive_seed(master, i))))
+        nodes = shifted_nodes(regular_nodes(cfg.s, d), rng.random(d))
+        rconds.append(LocalInterpolator(nodes, cfg.s).rcond)
+    return rconds
+
+
+def test_shifted_replicate_checks_every_node_set(monkeypatch):
+    f = make_benchmark()
+    cfg = EstimatorConfig(method=Method.SCV, s=3, m=2, interpolation_mode=SHIFTED)
+    R = 40
+    rconds = _shift_rconds(cfg, 2, 6, R)
+    estimators._regular(3, 2)  # built under the real limit
+    assert replicate(f, cfg, R, 6).R == R
+    # above every node set's rcond, and then above all but the best one's
+    for limit in (1.01 * max(rconds), max(rconds)):
+        monkeypatch.setattr(interp, "RCOND_MIN", limit)
+        with pytest.raises(UnisolvenceError):
+            replicate(f, cfg, R, 6)
+
+
+@pytest.mark.parametrize("method", [Method.SCV, Method.CV, Method.CV_MOM])
+def test_shifted_ensemble_spends_full_budgets(method):
+    f = make_benchmark()
+    cfg = EstimatorConfig(method=method, s=2, m=4, k=5, interpolation_mode=SHIFTED)
+    points = math.prod(estimators._sample_shape(cfg, 2)[:-1])
+    R = 3 * estimators._SHIFTED_BLOCK_POINTS // points + 7  # two stacks in each share
+    replicate(f, cfg, R, master_seed=2, workers=2)
+    assert f.evals == R * cfg.budget(2)
+
+
 def test_deterministic_ensemble_fits_once():
     f = make_benchmark()
     cfg = EstimatorConfig(method=Method.SCV, s=2, m=4)
@@ -152,6 +202,15 @@ def test_replicate_rejects_non_integral_R(monkeypatch):
     for R in (2.5, np.float64(3.0), 3.0):
         with pytest.raises(TypeError):
             replicate(f, cfg, R, master_seed=0)
+
+
+def test_replicate_rejects_non_integral_master_seed():
+    f, cfg = make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=4)
+    for master in (3.7, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            replicate(f, cfg, 5, master_seed=master)
+    expected = replicate(f, cfg, 5, master_seed=3).errors
+    assert replicate(f, cfg, 5, master_seed=np.int64(3)).errors.tobytes() == expected.tobytes()
 
 
 def test_prob_error_examples():
