@@ -23,6 +23,7 @@ replication's rows touch them.  So an estimate has the same bits alone
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -150,6 +151,32 @@ def _seed_state(entropy: list, n_words: int) -> list:
             pool[dst] = mix(pool[dst], hashmix(word))
     hash_const = _INIT_B
     return [hashmix(pool[i % 4], _MULT_B) for i in range(n_words)]
+
+
+def derive_seed(master_seed: int, *indices):
+    """Stable 64-bit seed for one branch of a seeded campaign:
+    ``SeedSequence(master_seed, spawn_key=indices).generate_state(1, np.uint64)[0]``.
+
+    Distinct index tuples give statistically independent streams; the same
+    tuple always reproduces the same seed.  An index may be an integer
+    array with entries in [0, 2^32), which gives a uint64 array of seeds.
+    The hash takes each value's 32-bit words, low first (one for 0), with
+    the master's padded with zeros to four.
+    """
+    words = []
+    for i, value in enumerate((master_seed, *indices)):
+        if i and isinstance(value, np.ndarray):
+            if value.dtype.kind not in "iu" or not np.all((value >= 0) & (value <= _MASK32)):
+                raise ValueError(f"index arrays need integers in [0, 2^32), got {value.dtype}")
+            words.append(value.astype(np.uint64))
+            continue
+        value = operator.index(value)  # TypeError for 2.7 or np.float64(2.0)
+        if value < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {value}")
+        n_words = max(1 if i else 4, -(-value.bit_length() // 32))
+        words += [(value >> 32 * j) & _MASK32 for j in range(n_words)]
+    lo, hi = _seed_state(words, 2)
+    return lo | hi << 32
 
 
 def _philox_keys(seeds: np.ndarray) -> np.ndarray:

@@ -23,11 +23,13 @@ __all__ = [
 ]
 
 
-def _check_sd(s: int, d: int) -> None:
-    if not (isinstance(s, (int, np.integer)) and isinstance(d, (int, np.integer))):
-        raise TypeError(f"s and d must be integers, got {s!r} and {d!r}")
-    if s < 1 or d < 1:
-        raise ValueError(f"need s >= 1 and d >= 1, got s={s}, d={d}")
+def _check_sizes(**sizes) -> None:
+    """TypeError unless each size is an integer, ValueError unless each is at least 1."""
+    for name, value in sizes.items():
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"need {name} >= 1, got {name}={value}")
 
 
 def poly_dim(s: int, d: int) -> int:
@@ -36,7 +38,7 @@ def poly_dim(s: int, d: int) -> int:
     Equals ``C(s+d-1, d)``.  Computed in exact integer arithmetic, so the
     result is never silently wrapped.
     """
-    _check_sd(s, d)
+    _check_sizes(s=s, d=d)
     return math.comb(s + d - 1, d)
 
 
@@ -67,7 +69,7 @@ def total_degree_exponents(s: int, d: int) -> np.ndarray:
     layout contract for every coefficient vector in the package.  The
     returned array is read-only and shared between callers.
     """
-    _check_sd(s, d)
+    _check_sizes(s=s, d=d)
     return _exponent_array(s, d)
 
 
@@ -149,7 +151,7 @@ def regular_nodes(s: int, d: int) -> np.ndarray:
     A classical unisolvent set for interpolation by polynomials of total
     degree < s.  For s = 1 the single node is placed at the cube center.
     """
-    _check_sd(s, d)
+    _check_sizes(s=s, d=d)
     if s == 1:
         return np.full((1, d), 0.5)
     return total_degree_exponents(s, d).astype(float) / (s - 1)
@@ -166,7 +168,7 @@ def shifted_nodes(base: np.ndarray, shift: np.ndarray) -> np.ndarray:
     base, shift = np.asarray(base, dtype=float), np.asarray(shift, dtype=float)
     if shift.shape[-1:] != base.shape[1:]:
         raise ValueError(f"shift must have shape (..., {base.shape[1]}), got {shift.shape}")
-    if shift.min() < 0.0 or shift.max() > 1.0:
+    if not (shift.min() >= 0.0 and shift.max() <= 1.0):  # also fails for nan
         raise ValueError("shift must lie inside the unit cube")
     return (base + shift[..., None, :]) / 2.0
 
@@ -187,6 +189,5 @@ def subcube_indices(m: int, d: int) -> np.ndarray:
     lexicographic order fixes the traversal (and hence the floating
     summation order) used by every estimator.  Read-only, shared array.
     """
-    if m < 1 or d < 1:
-        raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
+    _check_sizes(m=m, d=d)  # before the cache, which would take 2.5 as a key
     return _index_array(m, d)

@@ -58,7 +58,7 @@ class LocalInterpolator:
         n0 = poly_dim(s, d)
         if pts.shape[-2:] != (n0, d):
             raise ValueError(f"expected points of shape (..., {n0}, {d}), got {pts.shape}")
-        if pts.min() < 0.0 or pts.max() > 1.0:
+        if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # also fails for nan
             raise ValueError("interpolation nodes must lie inside the unit cube")
         self.points = _readonly(pts)
         self.exponents = total_degree_exponents(s, d)

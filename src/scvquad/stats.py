@@ -6,7 +6,9 @@ fractions, and provides Monte Carlo verifiers for the two concentration
 inequalities that underpin the error analysis (a p-norm Hoeffding bound
 and a Marcinkiewicz-Zygmund moment bound).
 
-An ensemble derives its replications' seeds at once and stacks its
+An ensemble derives its replications' seeds with one :func:`derive_seed`
+call over an index array (the package's own SeedSequence hash, which
+lives beside the Philox keys in :mod:`estimators`) and stacks its
 replications: in deterministic mode on one shared fit of the interpolant,
 in shifted mode with one stacked fit per block of replications.  Either
 way replication i's bits depend only on i, not on R or the worker count.
@@ -24,7 +26,7 @@ from functools import partial
 import numpy as np
 
 # `run` is not called here: bench/spans.py traces estimates by wrapping stats.run
-from .estimators import SHIFTED, EstimatorConfig, _estimates, _fit, _seed_state, run  # noqa: F401
+from .estimators import SHIFTED, EstimatorConfig, _estimates, _fit, derive_seed, run  # noqa: F401
 from .testbed import Integrand
 
 __all__ = [
@@ -53,16 +55,6 @@ __all__ = [
 _CHUNK_ELEMENTS = 1 << 22
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
-    """Stable 64-bit seed for one branch of a seeded campaign.
-
-    Distinct index tuples give statistically independent streams; the same
-    tuple always reproduces the same seed.
-    """
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(i) for i in indices))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 @dataclass(frozen=True)
 class ErrorSample:
     """Signed errors of R independent replications of one configuration."""
@@ -80,19 +72,6 @@ class ErrorSample:
     def R(self) -> int:
         """Number of replications."""
         return self.errors.size
-
-
-def _derive_seeds(master_seed: int, n: int) -> np.ndarray:
-    """``derive_seed(master_seed, i)`` for every i < n (below 2^32) as uint64:
-    SeedSequence hashes the master's 32-bit words, padded with zeros to
-    four, then the index as one word."""
-    master = operator.index(master_seed)  # TypeError for 3.7 or np.float64(3.0)
-    if master < 0:
-        raise ValueError(f"master seed must be non-negative, got {master}")
-    n_words = max(4, -(-master.bit_length() // 32))
-    words = [(master >> 32 * j) & 0xFFFFFFFF for j in range(n_words)]
-    lo, hi = _seed_state(words + [np.arange(n, dtype=np.uint64)], 2)
-    return lo | hi << 32
 
 
 def _map(fn, items, workers: int) -> list:
@@ -127,7 +106,7 @@ def replicate(
     R = operator.index(R)  # TypeError for 2.5 or np.float64(3.0)
     if R < 1:
         raise ValueError(f"need R >= 1, got R={R}")
-    shares = np.array_split(_derive_seeds(master_seed, R), max(1, min(workers, R)))
+    shares = np.array_split(derive_seed(master_seed, np.arange(R)), max(1, min(workers, R)))
     fit = None if cfg.interpolation_mode == SHIFTED else _fit(f, cfg)
     values = np.concatenate(_map(partial(_estimates, f, cfg, fit), shares, workers))
     return ErrorSample(errors=values - f.exact_integral, config=cfg)
@@ -310,7 +289,7 @@ def verify_hoeffding_p(
     b = np.asarray(b, dtype=float)
     n = b.size
     dist = _FAMILIES[family]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
     fails = 0
     done = 0
@@ -388,7 +367,7 @@ def verify_mz(q: float, dists, trials: int = 100_000, seed: int = 0, label: str 
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     n = len(dists)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     z = np.column_stack([dist.sample(rng, trials) for dist in dists])
     a = math.fsum(dist.mean for dist in dists) / n
 

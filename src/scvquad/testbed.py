@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import monomial_matrix, poly_dim, total_degree_exponents
+from .grid import _check_sizes, monomial_matrix, poly_dim, total_degree_exponents
 from .interp import monomial_means
 
 __all__ = [
@@ -41,8 +41,7 @@ class Integrand:
     """
 
     def __init__(self, fn, dim: int, exact_integral: float | None = None, label: str = ""):
-        if dim < 1:
-            raise ValueError(f"need dim >= 1, got {dim}")
+        _check_sizes(dim=dim)
         self._fn = fn
         self.dim = int(dim)
         self.exact_integral = None if exact_integral is None else float(exact_integral)

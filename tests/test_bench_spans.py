@@ -66,3 +66,6 @@ def test_tracer_install_and_restore(tmp_path):
     for layer in ("cli", "stats.replicate", "grid.nodeset",
                   "interp.solve", "interp.design_matrix", "testbed.f"):
         assert layer in names, f"no {layer} span recorded"
+    # replicate derives its seeds through stats.derive_seed, so the trace sees them
+    assert any(span[0] == "stats.derive_seed" and span[3] is not None
+               and span[3][0] == "stats.replicate" for span in tracer.spans)

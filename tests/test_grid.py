@@ -54,6 +54,12 @@ def test_subcube_index_validation():
         subcube_indices(0, 2)
     with pytest.raises(ValueError):
         subcube_indices(2, 0)
+    misses = grid._index_array.cache_info().misses
+    for m, d in ((2.5, 2), (2, 2.0), (np.float64(3.0), 2)):
+        with pytest.raises(TypeError):
+            subcube_indices(m, d)
+    assert grid._index_array.cache_info().misses == misses  # rejected before the cache
+    assert subcube_indices(np.int64(3), 2).shape == (9, 2)
 
 
 def test_subcube_index_cache_keeps_four_grids():
@@ -144,6 +150,9 @@ def test_shifted_nodes_validation():
         shifted_nodes(base, np.array([1.5, 0.0]))
     with pytest.raises(ValueError):
         shifted_nodes(base, np.array([0.5]))
+    for shift in ([np.nan, 0.5], [[0.5, 0.5], [0.5, np.nan]]):
+        with pytest.raises(ValueError, match="unit cube"):
+            shifted_nodes(base, np.array(shift))
 
 
 def test_shifted_node_stack_matches_one_at_a_time():
@@ -173,6 +182,16 @@ def test_nodeset_rejects_degenerate_points():
     pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.4, 0.4]])
     with pytest.raises(UnisolvenceError):
         LocalInterpolator(pts, 2)
+
+
+def test_nodeset_rejects_points_outside_the_cube():
+    for bad in (1.5, -0.5, np.nan):
+        pts = regular_nodes(2, 2).copy()
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="unit cube"):
+            LocalInterpolator(pts, 2)
+    with pytest.raises(ValueError, match="unit cube"):
+        LocalInterpolator(np.full((3, 2), np.nan), 2)
 
 
 def test_nodeset_rejects_wrong_cardinality():

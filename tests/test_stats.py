@@ -43,15 +43,39 @@ def test_derive_seed_stable_and_distinct():
     assert 0 <= a < 2**64
 
 
-def test_derive_seeds_match_derive_seed():
+def _oracle_seed(master, *indices):
+    return int(np.random.SeedSequence(master, spawn_key=indices).generate_state(1, np.uint64)[0])
+
+
+def test_derive_seed_matches_seed_sequence():
     rng = np.random.default_rng(11)
-    masters = [0, 2**64 - 1, 2**70 + 5]
+    masters = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 5]
     for low, high in ((0, 2**32), (2**32, 2**63), (2**63, 2**64)):
         masters += [int(x) for x in rng.integers(low, high, 4, dtype=np.uint64)]
+    index_tuples = [(), (0,), (2**32,), (2**32, 3, 1), (2**64 + 1, 7), (5, 0, 2**40, 9, 1, 3)]
     for master in masters:
-        seeds = stats._derive_seeds(master, 3000)
+        for indices in index_tuples:
+            seed = derive_seed(master, *indices)
+            assert type(seed) is int and seed == _oracle_seed(master, *indices), (master, indices)
+        seeds = derive_seed(master, 3, np.arange(3000))
+        assert seeds.dtype == np.uint64 and seeds.shape == (3000,)
         for i in [0, 1, 2999, *rng.integers(0, 3000, 40).tolist()]:
-            assert int(seeds[i]) == derive_seed(master, i), (master, i)
+            assert int(seeds[i]) == _oracle_seed(master, 3, i), (master, i)
+        first = derive_seed(master, np.array([0, 2**32 - 1], dtype=np.uint32), 2**33)
+        assert first.tolist() == [_oracle_seed(master, i, 2**33) for i in (0, 2**32 - 1)]
+
+
+def test_derive_seed_takes_only_non_negative_integers():
+    assert derive_seed(np.int64(5), np.uint8(2)) == derive_seed(5, 2)
+    for args in ((5, 2.7), (5, 2.0), (5.0, 2), (np.float64(5.0),), (5, np.float64(2.0))):
+        with pytest.raises(TypeError):
+            derive_seed(*args)
+    for args in ((-1,), (5, -2), (5, 1, -1)):
+        with pytest.raises(ValueError):
+            derive_seed(*args)
+    for bad in (np.array([0.0, 1.0]), np.array([0, -1]), np.array([0, 2**32]), np.array([True])):
+        with pytest.raises(ValueError):
+            derive_seed(5, bad)
 
 
 def test_philox_keys_match_seed_sequence():
@@ -198,7 +222,7 @@ def test_replicate_rejects_non_integral_R(monkeypatch):
     def no_seeds(*args):
         raise AssertionError("seeds derived for a rejected R")
 
-    monkeypatch.setattr(stats, "_derive_seeds", no_seeds)
+    monkeypatch.setattr(stats, "derive_seed", no_seeds)
     for R in (2.5, np.float64(3.0), 3.0):
         with pytest.raises(TypeError):
             replicate(f, cfg, R, master_seed=0)

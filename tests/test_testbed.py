@@ -77,6 +77,15 @@ def test_integrand_counter_and_shapes():
     assert f.evals == 18
 
 
+def test_integrand_dimension_is_a_positive_integer():
+    for dim in (2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            Integrand(lambda pts: pts[:, 0], dim=dim)
+    with pytest.raises(ValueError):
+        Integrand(lambda pts: pts[:, 0], dim=0)
+    assert Integrand(lambda pts: pts[:, 0], dim=np.int64(2)).dim == 2
+
+
 def test_integrand_rejects_wrongly_shaped_output():
     scalar = Integrand(lambda pts: 1.0, dim=2)
     with pytest.raises(ValueError, match=r"shape \(\) for 16 points"):
