@@ -18,6 +18,8 @@ by all (deterministic mode) or one per replication (shifted mode); only
 elementwise operations, per-matrix solves and reductions within a
 replication's rows touch them.  So an estimate has the same bits alone
 (:func:`run`) or stacked with thousands, whatever the worker count.
+:func:`_ensemble` is the one path for both: it fits once (deterministic
+mode), cuts the seeds into bounded stacks and spreads them over workers.
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ from __future__ import annotations
 import math
 import operator
 import statistics
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 
 import numpy as np
 
-from .grid import poly_dim, regular_nodes, shifted_nodes, subcube_indices
+from .grid import _check_sizes, poly_dim, regular_nodes, shifted_nodes, subcube_indices
 from .interp import LocalInterpolator
 from .testbed import Integrand
 
@@ -81,17 +84,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
+        _check_sizes(s=self.s, m=self.m, k=self.k)
+        if not isinstance(self.seed, (int, np.integer)):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
         for name in ("s", "m", "k", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # no fixed-width overflow in m**d
-        if self.s < 1:
-            raise ValueError(f"need s >= 1, got s={self.s}")
-        if self.m < 1:
-            raise ValueError(f"need m >= 1, got m={self.m}")
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got k={self.k}")
+            object.__setattr__(self, name, int(getattr(self, name)))  # no fixed-width overflow in m**d
         if self.interpolation_mode not in _MODES:
             raise ValueError(
                 f"interpolation_mode must be one of {_MODES}, got {self.interpolation_mode!r}"
@@ -305,48 +302,61 @@ _BODIES = {
     Method.STRAT: _stratified,
 }
 
-# Sample points per stack of replications: bounds an ensemble's memory for
-# any R.  A replication of 2^16 points or more (m=256, d=2) stacks alone.
-_BLOCK_POINTS = 1 << 15
-# A shifted stack also holds a fit per replication.  At 2^13 points a
-# default `tails` ensemble's traced peak is 0.9 MB (1.4 MB at 2^15, 0.04 MB
-# one estimate at a time), and time per replication has not yet risen.
-_SHIFTED_BLOCK_POINTS = 1 << 13
+# Sample points per stack of replications, in both modes: bounds an
+# ensemble's memory for any R.  At 2^13 a default `tails` ensemble's traced
+# peak is 0.9 MB (1.4 MB at 2^15), at the same time per replication.  A
+# replication of more than 2^12 points stacks alone.
+_BLOCK_POINTS = 1 << 13
 
 
-def _estimates(f: Integrand, cfg: EstimatorConfig, fit, seeds: np.ndarray) -> np.ndarray:
-    """Values of the replications with the given seeds.
+def _map(fn, items, workers: int) -> list:
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _estimates(f: Integrand, cfg: EstimatorConfig, fit, seeds) -> np.ndarray:
+    """Values of one stack of replications, with the given seeds.
 
     Each replication draws from its own stream, by one reused Philox set
     to the seed's key at counter 0: in shifted mode its node shift (d
     doubles) first, then its sample block.  `fit` is the shared fit of
-    deterministic mode (None for STRAT); in shifted mode it is ignored and
-    each stack is fitted on its own shifts.  Stacks of up to
-    ``_BLOCK_POINTS`` sample points (``_SHIFTED_BLOCK_POINTS`` in shifted
-    mode) go through the fit, f, the design matrix and the einsum at once.
+    deterministic mode (None for STRAT); in shifted mode the stack is
+    fitted on its own shifts.  The whole stack goes through the fit, f,
+    the design matrix and the einsum at once.
     """
     shape = _sample_shape(cfg, f.dim)
     shifted = cfg.interpolation_mode == SHIFTED and cfg.method is not Method.STRAT
-    block = _SHIFTED_BLOCK_POINTS if shifted else _BLOCK_POINTS
-    per_stack = max(1, block // math.prod(shape[:-1]))
     gen = np.random.Generator(np.random.Philox(0))
     state = gen.bit_generator.state  # a fresh stream's: counter 0, empty buffer
-    all_keys = _philox_keys(seeds)
-    values = np.empty(len(seeds))
-    for start in range(0, len(seeds), per_stack):
-        keys = all_keys[start : start + per_stack].tolist()
-        shifts = np.empty((len(keys), f.dim))
-        u = np.empty((len(keys), *shape))
-        for r, key in enumerate(keys):
-            state["state"]["key"] = key
-            gen.bit_generator.state = state
-            if shifted:
-                gen.random(out=shifts[r])
-            gen.random(out=u[r])
+    keys = _philox_keys(seeds).tolist()
+    shifts = np.empty((len(keys), f.dim))
+    u = np.empty((len(keys), *shape))
+    for r, key in enumerate(keys):
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
         if shifted:
-            fit = _fit(f, cfg, shifts)
-        values[start : start + len(keys)] = _BODIES[cfg.method](f, cfg, fit, u)
-    return values
+            gen.random(out=shifts[r])
+        gen.random(out=u[r])
+    if shifted:
+        fit = _fit(f, cfg, shifts)
+    return np.asarray(_BODIES[cfg.method](f, cfg, fit, u))
+
+
+def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np.ndarray:
+    """Values of the replications with the given seeds, in order.
+
+    Fits once in deterministic mode (STRAT gets None), cuts the seeds into
+    stacks of at most ``_BLOCK_POINTS`` sample points and ``ceil(len(seeds)
+    / workers)`` replications, so that a small ensemble still spreads over
+    its workers, and maps :func:`_estimates` over the stacks on `workers` threads.
+    """
+    fit = None if cfg.interpolation_mode == SHIFTED else _fit(f, cfg)
+    points = math.prod(_sample_shape(cfg, f.dim)[:-1])
+    per_stack = max(1, min(_BLOCK_POINTS // points, -(-len(seeds) // workers)))
+    stacks = [seeds[i : i + per_stack] for i in range(0, len(seeds), per_stack)]
+    return np.concatenate(_map(partial(_estimates, f, cfg, fit), stacks, workers))
 
 
 def run(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
@@ -356,8 +366,8 @@ def run(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     on the m-grid (in shifted mode, one shift is drawn first and shared by
     all cells); they differ only in how the residual is sampled, see
     :func:`_scv` and :func:`_whole_cube`.  STRAT takes one uniform sample
-    per cell and no control variate.  This is the stack of one replication.
+    per cell and no control variate.  This is the ensemble of one
+    replication, through the same :func:`_ensemble` path as ``replicate``.
     """
-    fit = None if cfg.interpolation_mode == SHIFTED else _fit(f, cfg)
-    value = _estimates(f, cfg, fit, np.array([cfg.seed], dtype=np.uint64))[0]
+    value = _ensemble(f, cfg, [cfg.seed])[0]
     return EstimateRun(value=float(value), evals=cfg.budget(f.dim))

@@ -8,25 +8,24 @@ and a Marcinkiewicz-Zygmund moment bound).
 
 An ensemble derives its replications' seeds with one :func:`derive_seed`
 call over an index array (the package's own SeedSequence hash, which
-lives beside the Philox keys in :mod:`estimators`) and stacks its
-replications: in deterministic mode on one shared fit of the interpolant,
-in shifted mode with one stacked fit per block of replications.  Either
+lives beside the Philox keys in :mod:`estimators`) and hands them to
+``estimators._ensemble``, the one ensemble path: it fits once in
+deterministic mode, cuts the seeds into bounded stacks (each fitted on its
+own shifts in shifted mode) and spreads them over the workers.  Either
 way replication i's bits depend only on i, not on R or the worker count.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 # `run` is not called here: bench/spans.py traces estimates by wrapping stats.run
-from .estimators import SHIFTED, EstimatorConfig, _estimates, _fit, derive_seed, run  # noqa: F401
+from .estimators import EstimatorConfig, _ensemble, derive_seed, run  # noqa: F401
+from .grid import _check_sizes
 from .testbed import Integrand
 
 __all__ = [
@@ -74,13 +73,6 @@ class ErrorSample:
         return self.errors.size
 
 
-def _map(fn, items, workers: int) -> list:
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def replicate(
     f: Integrand,
     cfg: EstimatorConfig,
@@ -90,25 +82,21 @@ def replicate(
 ) -> ErrorSample:
     """R independent runs, replication i under seed ``derive_seed(master_seed, i)``.
 
-    Requires the integrand's exact integral.  `workers` threads each take
-    a contiguous share of the replications, stacked in bounded blocks.  In
-    deterministic mode the interpolant does not depend on the seed: it is
-    fitted once and shared, so the ensemble spends ``n0*m^d`` node
-    evaluations plus each replication's residual samples.  In shifted mode
-    each replication draws its own shift, and each block of replications
-    is fitted in one stacked call, so the ensemble spends R full budgets.
-    Either way the errors, in replication order, equal ``run(f, replace(cfg,
-    seed=derive_seed(master_seed, i))).value - exact`` bit for bit, for any
-    R and any number of workers.
+    Requires the integrand's exact integral.  One :func:`estimators._ensemble`
+    call does the work: in deterministic mode the interpolant does not
+    depend on the seed, so it is fitted once and shared, and the ensemble
+    spends ``n0*m^d`` node evaluations plus each replication's residual
+    samples.  In shifted mode each replication draws its own shift and
+    each stack of replications is fitted at once, so the ensemble spends R
+    full budgets.  Stacks are bounded in sample points and spread over
+    `workers` threads.  Either way the errors, in replication order, equal
+    ``run(f, replace(cfg, seed=derive_seed(master_seed, i))).value - exact``
+    bit for bit, for any R and any number of workers.
     """
     if f.exact_integral is None:
         raise ValueError(f"integrand {f.label!r} has no exact integral to compare against")
-    R = operator.index(R)  # TypeError for 2.5 or np.float64(3.0)
-    if R < 1:
-        raise ValueError(f"need R >= 1, got R={R}")
-    shares = np.array_split(derive_seed(master_seed, np.arange(R)), max(1, min(workers, R)))
-    fit = None if cfg.interpolation_mode == SHIFTED else _fit(f, cfg)
-    values = np.concatenate(_map(partial(_estimates, f, cfg, fit), shares, workers))
+    _check_sizes(R=R, workers=workers)
+    values = _ensemble(f, cfg, derive_seed(master_seed, np.arange(R)), workers)
     return ErrorSample(errors=values - f.exact_integral, config=cfg)
 
 
@@ -129,14 +117,14 @@ def prob_error(sample: ErrorSample, delta: float) -> float:
 def fit_rate(pairs) -> float:
     """Slope of the ordinary least-squares line ``log e = slope*log n + intercept``.
 
-    Two points give the exact degenerate fit; all values must be positive.
+    Two points give the exact degenerate fit; all values must be finite and positive.
     """
     points = tuple((float(n), float(e)) for n, e in pairs)
     if len(points) < 2:
         raise ValueError("need at least two (n, e) pairs")
     arr = np.asarray(points, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("rate fits need strictly positive budgets and errors")
+    if not np.all((arr > 0.0) & (arr < math.inf)):  # also rejects nan
+        raise ValueError("rate fits need finite, strictly positive budgets and errors")
     return float(np.polyfit(np.log(arr[:, 0]), np.log(arr[:, 1]), 1)[0])
 
 
@@ -238,8 +226,8 @@ def hoeffding_bound(p: float, b, delta: float) -> float:
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size < 1:
         raise ValueError("b must be a nonempty vector")
-    if np.any(b < 0.0):
-        raise ValueError("bounds b must be nonnegative")
+    if not np.all((b >= 0.0) & (b < math.inf)):  # also rejects nan
+        raise ValueError("bounds b must be finite and nonnegative")
     norm_p = float(np.sum(b**p) ** (1.0 / p))
     return 3.0 / b.size * (2.0 * math.log(2.0 / delta)) ** (1.0 - 1.0 / p) * norm_p
 

@@ -45,6 +45,8 @@ class Integrand:
         self._fn = fn
         self.dim = int(dim)
         self.exact_integral = None if exact_integral is None else float(exact_integral)
+        if not (exact_integral is None or math.isfinite(self.exact_integral)):
+            raise ValueError(f"exact integral must be finite, got {self.exact_integral}")
         self.label = label
         self._lock = threading.Lock()
         self._count = 0
@@ -142,14 +144,14 @@ class BumpSpec:
     def __post_init__(self):
         if self.s < 1 or self.d < 1:
             raise ValueError(f"need s >= 1 and d >= 1, got s={self.s}, d={self.d}")
-        if self.p < 1.0:
+        if not self.p >= 1.0:  # also rejects nan
             raise ValueError(f"need p >= 1, got p={self.p}")
         if not 0.0 < self.sigma <= 0.5:
             raise ValueError(f"need 0 < sigma <= 1/2, got sigma={self.sigma}")
         center = tuple(float(c) for c in self.center)
         if len(center) != self.d:
             raise ValueError(f"center must have {self.d} coordinates, got {len(center)}")
-        if any(c - self.sigma < 0.0 or c + self.sigma > 1.0 for c in center):
+        if not all(0.0 <= c - self.sigma and c + self.sigma <= 1.0 for c in center):
             raise ValueError(
                 f"support ball of radius {self.sigma} around {center} "
                 "is not contained in the unit cube"
@@ -206,7 +208,7 @@ def corner_bump(s: int, d: int, p: float, m: int, delta: float) -> Integrand:
         raise ValueError(f"need m >= 1, got m={m}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"need delta in (0,1), got {delta}")
-    if p < 1.0:
+    if not p >= 1.0:  # also rejects nan
         raise ValueError(f"need p >= 1, got p={p}")
     if not s < d / p:
         raise ValueError(

@@ -120,7 +120,7 @@ def test_replicate_equals_scalar_runs_across_default_block():
     R = estimators._BLOCK_POINTS // 48 + 5  # 48 sample points per replication
     seeds = [derive_seed(3, i) for i in range(R)]
     expected = np.array([run(f, replace(cfg, seed=seed)).value for seed in seeds]) - 1.0
-    for workers in (1, 2):  # one share crosses the stack boundary, two do not
+    for workers in (1, 2):  # one full stack and a short one, then two short stacks
         assert replicate(f, cfg, R, 3, workers=workers).errors.tobytes() == expected.tobytes()
 
 
@@ -131,12 +131,32 @@ def test_shifted_replicate_crosses_stacks(method):
     f = make_benchmark()
     cfg = EstimatorConfig(method=method, s=2, m=16, interpolation_mode=SHIFTED)
     points = math.prod(estimators._sample_shape(cfg, 2)[:-1])
-    R = 4 * (estimators._SHIFTED_BLOCK_POINTS // points) + 3  # five stacks at one worker
+    R = 4 * (estimators._BLOCK_POINTS // points) + 3  # five stacks at one worker
     expected = np.array([run(f, replace(cfg, seed=derive_seed(5, i))).value for i in range(R)])
     for workers in (1, 2, 3):
         errors = replicate(f, cfg, R, 5, workers=workers).errors
         assert errors.tobytes() == (expected - 1.0).tobytes(), workers
 
+
+
+def test_small_ensemble_spreads_over_workers(monkeypatch):
+    """An ensemble smaller than one stack is cut into one stack per worker,
+    each through estimators._estimates, and keeps the per-seed bits."""
+    f = make_benchmark()
+    cfg = EstimatorConfig(method=Method.SCV, s=2, m=4)
+    R = 10  # a stack holds 170 replications of 48 sample points
+    expected = np.array([run(f, replace(cfg, seed=derive_seed(4, i))).value for i in range(R)])
+    stacks = []
+    estimates = estimators._estimates
+
+    def counted(f, cfg, fit, seeds):
+        stacks.append(len(seeds))
+        return estimates(f, cfg, fit, seeds)
+
+    monkeypatch.setattr(estimators, "_estimates", counted)
+    errors = replicate(f, cfg, R, 4, workers=3).errors
+    assert sorted(stacks) == [2, 4, 4]
+    assert errors.tobytes() == (expected - 1.0).tobytes()
 
 def _shift_rconds(cfg, d, master, R):
     """rcond of each replication's shifted node set, its shift drawn as the
@@ -168,7 +188,7 @@ def test_shifted_ensemble_spends_full_budgets(method):
     f = make_benchmark()
     cfg = EstimatorConfig(method=method, s=2, m=4, k=5, interpolation_mode=SHIFTED)
     points = math.prod(estimators._sample_shape(cfg, 2)[:-1])
-    R = 3 * estimators._SHIFTED_BLOCK_POINTS // points + 7  # two stacks in each share
+    R = 3 * estimators._BLOCK_POINTS // points + 7  # four stacks over two workers
     replicate(f, cfg, R, master_seed=2, workers=2)
     assert f.evals == R * cfg.budget(2)
 
@@ -226,6 +246,21 @@ def test_replicate_rejects_non_integral_R(monkeypatch):
     for R in (2.5, np.float64(3.0), 3.0):
         with pytest.raises(TypeError):
             replicate(f, cfg, R, master_seed=0)
+
+
+def test_replicate_workers_is_a_positive_integer(monkeypatch):
+    f, cfg = make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=2)
+    assert replicate(f, cfg, 3, master_seed=0, workers=np.int64(2)).R == 3
+
+    def no_seeds(*args):
+        raise AssertionError("seeds derived for rejected workers")
+
+    monkeypatch.setattr(stats, "derive_seed", no_seeds)
+    with pytest.raises(TypeError, match="^workers must be an integer"):
+        replicate(f, cfg, 3, master_seed=0, workers=2.5)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="^need workers >= 1"):
+            replicate(f, cfg, 3, master_seed=0, workers=workers)
 
 
 def test_replicate_rejects_non_integral_master_seed():
@@ -303,6 +338,13 @@ def test_fit_rate_validation():
         fit_rate([(0.0, 1.0), (100.0, 0.5)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rate_rejects_non_finite_points(bad):
+    for pairs in ([(1.0, bad), (2.0, 1.0)], [(bad, 1.0), (2.0, 1.0)]):
+        with pytest.raises(ValueError, match="finite"):
+            fit_rate(pairs)
+
+
 def test_histogram_degenerate_and_two_sided():
     assert histogram(_sample(np.full(7, 3.25)), bins=4) == [(3.25, 3.25, 7)]
     bins = histogram(_sample([-1.0, 1.0]), bins=2)
@@ -356,6 +398,14 @@ def test_hoeffding_bound_validation():
         hoeffding_bound(1.5, np.array([-1.0]), 0.1)
     with pytest.raises(ValueError):
         verify_hoeffding_p(1.5, np.ones(2), 0.1, family="gaussian")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hoeffding_bound_rejects_non_finite_bounds(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        hoeffding_bound(1.5, [bad, 1.0], 0.1)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        verify_hoeffding_p(1.5, [bad, 1.0], 0.1, trials=10)
 
 
 @pytest.mark.parametrize("family", ["uniform", "rademacher"])

@@ -86,6 +86,12 @@ def test_integrand_dimension_is_a_positive_integer():
     assert Integrand(lambda pts: pts[:, 0], dim=np.int64(2)).dim == 2
 
 
+def test_integrand_rejects_non_finite_exact_integral():
+    for exact in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="exact integral must be finite"):
+            Integrand(lambda pts: pts[:, 0], dim=1, exact_integral=exact)
+    assert Integrand(lambda pts: pts[:, 0], dim=1, exact_integral=np.float32(0.5)).exact_integral == 0.5
+
 def test_integrand_rejects_wrongly_shaped_output():
     scalar = Integrand(lambda pts: 1.0, dim=2)
     with pytest.raises(ValueError, match=r"shape \(\) for 16 points"):
@@ -175,6 +181,14 @@ def test_bump_validation():
         BumpSpec(s=1, d=2, p=0.5, sigma=0.2, center=(0.5, 0.5))
 
 
+def test_bump_rejects_nan_parameters():
+    with pytest.raises(ValueError, match="need p >= 1"):
+        BumpSpec(s=1, d=2, p=math.nan, sigma=0.2, center=(0.5, 0.5))
+    for center in [(math.nan, 0.5), (0.5, math.nan)]:
+        with pytest.raises(ValueError, match="not contained in the unit cube"):
+            BumpSpec(s=1, d=2, p=1.0, sigma=0.2, center=center)
+
+
 def test_bump_boundary_smoothness():
     # the profile and its first s-1 one-sided difference quotients vanish
     # at the support boundary; near the edge the profile is ~ (2h/sigma)^s
@@ -226,6 +240,11 @@ def test_corner_bump_regime_validation():
         corner_bump(2, 2, 1.0, 4, 0.1)  # s >= d/p
     with pytest.raises(ValueError):
         corner_bump(1, 2, 1.0, 4, 1.5)
+
+
+def test_corner_bump_rejects_nan_p():
+    with pytest.raises(ValueError, match="need p >= 1"):
+        corner_bump(1, 2, math.nan, 4, 0.1)
 
 
 @pytest.mark.parametrize(
