@@ -1,12 +1,12 @@
-"""The four quadrature methods.
+"""The four quadrature methods, in two bodies.
 
 Stratified control variates (SCV) interpolates the integrand on every
 subcube of the m-grid, integrates those patches exactly, and corrects each
 patch mean with a handful of uniform residual samples drawn inside the
-same subcube.  Classical control variates (CV) uses the identical
-piecewise interpolant but samples the residual iid over the whole cube;
-CV+MoM replaces the residual mean by a median of group means; plain
-stratified sampling completes the line-up.
+same subcube; plain stratified sampling (STRAT) is the same body with no
+control variate and one sample per cell.  Classical control variates (CV)
+uses the identical piecewise interpolant but samples the residual iid over
+the whole cube; CV+MoM replaces the residual mean by a median of group means.
 
 Reproducibility contract: each estimate consumes a single counter-based
 (Philox) stream keyed by a hash of its 64-bit seed.  The draw order is
@@ -35,7 +35,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .grid import _check_sizes, poly_dim, regular_nodes, shifted_nodes, subcube_indices
+from .grid import _check_sizes, locate, poly_dim, regular_nodes, shifted_nodes, subcube_indices
 from .interp import LocalInterpolator
 from .testbed import Integrand
 
@@ -191,6 +191,13 @@ def _regular(s: int, d: int) -> LocalInterpolator:
     return LocalInterpolator(regular_nodes(s, d), s)
 
 
+def _in_cells(f: Integrand, m: int, local: np.ndarray) -> np.ndarray:
+    """f at local points (..., m^d or 1, J, d) mapped into every cell, point j
+    of cell i at ``(local + i) / m``; values of shape (-1, m^d, J)."""
+    x = (local + subcube_indices(m, f.dim)[:, None, :]) / m
+    return f(x.reshape(-1, f.dim)).reshape(-1, *x.shape[-3:-1])
+
+
 def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     """Check the budget (BudgetError before any evaluation), then
     interpolate f on every subcube at once; STRAT gets None.
@@ -198,9 +205,9 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     With `shifts` of shape (R, d) the fit is a stack of R, one per shifted
     node set (shifted mode); without, one fit of the regular nodes serves
     every seed (a stack of one).  Evaluates f at the node sets mapped into
-    every cell (lexicographic cell order, node order within each cell) and
-    solves each collocation system against all its value columns.  Returns
-    (solver, coeffs, cell_means) with coeffs of shape (R or 1, n0, m^d).
+    every cell (node order within each cell) and solves each collocation
+    system against all its value columns.  Returns (solver, coeffs,
+    cell_means) with coeffs of shape (R or 1, n0, m^d).
     """
     cfg.budget(f.dim)
     if cfg.method is Method.STRAT:
@@ -208,9 +215,7 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     solver = _regular(cfg.s, f.dim)
     if shifts is not None:
         solver = LocalInterpolator(shifted_nodes(solver.points, shifts), cfg.s)
-    offsets = subcube_indices(cfg.m, f.dim)
-    pts = (solver.points[..., None, :, :] + offsets[:, None, :]) / cfg.m
-    values = f(pts.reshape(-1, f.dim)).reshape(-1, *pts.shape[-3:-1])
+    values = _in_cells(f, cfg.m, solver.points[..., None, :, :])
     coeffs = solver.solve(np.swapaxes(values, -1, -2))
     return solver, coeffs, solver.moments @ coeffs
 
@@ -218,16 +223,13 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
 def _sample_shape(cfg: EstimatorConfig, d: int) -> tuple[int, ...]:
     """Shape of the one block of uniforms an estimate draws after the fit.
 
-    STRAT: one point per cell.  SCV: n0 points per cell.  CV and CV+MoM:
-    k groups of ``n1 = floor(n0*m^d / k)`` whole-cube points, k = 1 for CV;
+    SCV: n0 points per cell; STRAT: one.  CV and CV+MoM: k groups of
+    ``n1 = floor(n0*m^d / k)`` whole-cube points, k = 1 for CV;
     BudgetError if a group would be empty.
     """
-    cells = cfg.m**d
-    if cfg.method is Method.STRAT:
-        return (cells, d)
-    n0 = poly_dim(cfg.s, d)
-    if cfg.method is Method.SCV:
-        return (cells, n0, d)
+    cells, n0 = cfg.m**d, poly_dim(cfg.s, d)
+    if cfg.method in (Method.SCV, Method.STRAT):
+        return (cells, 1 if cfg.method is Method.STRAT else n0, d)
     k = cfg.k if cfg.method is Method.CV_MOM else 1
     if n0 * cells < k:
         raise BudgetError(
@@ -236,21 +238,22 @@ def _sample_shape(cfg: EstimatorConfig, d: int) -> tuple[int, ...]:
     return (k, n0 * cells // k, d)
 
 
-def _scv(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[float]:
-    """Stratified control variates.
+def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[float]:
+    """Stratified control variates, or plain stratified sampling if `fit` is None.
 
-    ``m^-d * sum_i (a_i + mean_j [f - g_i](X_i^(j)))`` with n0 points
-    X_i^(j) uniform on cell i.  Exact on polynomials of total degree < s,
-    linear and unbiased.
+    ``m^-d * sum_i (a_i + mean_j [f - g_i](X_i^(j)))`` with the points
+    X_i^(j) of `u` uniform on cell i: n0 of them for SCV, whose g_i is the
+    cell's interpolant with exact mean a_i (exact on polynomials of total
+    degree < s, linear and unbiased), and one for STRAT, with g = 0.
     """
-    solver, coeffs, means = fit
-    offsets = subcube_indices(cfg.m, f.dim)
-    x = (u + offsets[:, None, :]) / cfg.m
-    fx = f(x.reshape(-1, f.dim)).reshape(u.shape[:-1])
-    design = solver.design_matrix(u.reshape(-1, f.dim)).reshape(*u.shape[:-1], -1)
-    gx = np.einsum("rcjn,rnc->rcj", design, coeffs)
-    per_cell = means + (fx - gx).mean(axis=2)
-    return [math.fsum(cells) / len(offsets) for cells in per_cell.tolist()]
+    resid = _in_cells(f, cfg.m, u)
+    means = 0.0
+    if fit is not None:
+        solver, coeffs, means = fit
+        design = solver.design_matrix(u.reshape(-1, f.dim)).reshape(*u.shape[:-1], -1)
+        resid = resid - np.einsum("rcjn,rnc->rcj", design, coeffs)
+    per_cell = means + resid.mean(axis=2)
+    return [math.fsum(cells) / u.shape[1] for cells in per_cell.tolist()]
 
 
 def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[float]:
@@ -267,40 +270,18 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[
     central order statistics.
     """
     solver, coeffs, means = fit
-    m, d = cfg.m, f.dim
     fit_of = np.arange(len(u)) % len(coeffs)  # each replication's fit; all 0 if shared
     int_g = np.array([math.fsum(row) / len(row) for row in means.tolist()])[fit_of]
     k, n1 = u.shape[1:3]
-    x = u.reshape(-1, d)
-    local = x * m
-    cells = np.minimum(local.astype(np.int64), m - 1)
-    local -= cells
-    strides = m ** np.arange(d - 1, -1, -1, dtype=np.int64)  # lexicographic ravel
-    rows = (cells @ strides).reshape(len(u), -1) + m**d * fit_of[:, None]
-    del cells  # the design matrix and the gathered rows are the peak; free what they do not need
+    x = u.reshape(-1, f.dim)
+    rows, local = locate(x, cfg.m)
+    rows = rows.reshape(len(u), -1) + cfg.m**f.dim * fit_of[:, None]
     table = np.swapaxes(coeffs, 1, 2).reshape(-1, coeffs.shape[1])  # C-ordered (fit, cell) rows
     gx = np.einsum("ij,ij->i", solver.design_matrix(local), np.take(table, rows.ravel(), axis=0))
     groups = (f(x) - gx).reshape(len(u), k, n1).tolist()
     return [g0 + statistics.median(math.fsum(g) / n1 for g in rep)
             for g0, rep in zip(int_g.tolist(), groups)]
 
-
-def _stratified(f: Integrand, cfg: EstimatorConfig, fit: None, u: np.ndarray) -> list[float]:
-    """Plain stratified sampling: one uniform sample per cell, averaged.
-
-    Needs no interpolation, so it reads only the cell offsets.
-    """
-    offsets = subcube_indices(cfg.m, f.dim)
-    fx = f(((u + offsets) / cfg.m).reshape(-1, f.dim)).reshape(len(u), -1)
-    return [math.fsum(cells) / offsets.shape[0] for cells in fx.tolist()]
-
-
-_BODIES = {
-    Method.SCV: _scv,
-    Method.CV: _whole_cube,
-    Method.CV_MOM: _whole_cube,
-    Method.STRAT: _stratified,
-}
 
 # Sample points per stack of replications, in both modes: bounds an
 # ensemble's memory for any R.  At 2^13 a default `tails` ensemble's traced
@@ -341,7 +322,8 @@ def _estimates(f: Integrand, cfg: EstimatorConfig, fit, seeds) -> np.ndarray:
         gen.random(out=u[r])
     if shifted:
         fit = _fit(f, cfg, shifts)
-    return np.asarray(_BODIES[cfg.method](f, cfg, fit, u))
+    body = _whole_cube if cfg.method in (Method.CV, Method.CV_MOM) else _stratified
+    return np.asarray(body(f, cfg, fit, u))
 
 
 def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np.ndarray:
@@ -365,8 +347,8 @@ def run(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:
     SCV, CV and CV+MoM share one piecewise interpolant of total degree < s
     on the m-grid (in shifted mode, one shift is drawn first and shared by
     all cells); they differ only in how the residual is sampled, see
-    :func:`_scv` and :func:`_whole_cube`.  STRAT takes one uniform sample
-    per cell and no control variate.  This is the ensemble of one
+    :func:`_stratified` and :func:`_whole_cube`.  STRAT takes one uniform
+    sample per cell and no control variate.  This is the ensemble of one
     replication, through the same :func:`_ensemble` path as ``replicate``.
     """
     value = _ensemble(f, cfg, [cfg.seed])[0]

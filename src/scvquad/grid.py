@@ -1,9 +1,9 @@
 """Dimension bookkeeping on the unit cube.
 
 Polynomial-space dimensions, monomial design matrices, the lexicographic
-index of the ``m^d`` subcube decomposition, and the node points of
-unisolvent sets for total-degree interpolation.  Cached arrays returned
-from here are read-only and safe to share across threads.
+index of the ``m^d`` subcube decomposition and each point's cell in it,
+and the nodes of unisolvent sets for total-degree interpolation.  Cached
+arrays returned from here are read-only and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "regular_nodes",
     "shifted_nodes",
     "subcube_indices",
+    "locate",
 ]
 
 
@@ -191,3 +192,14 @@ def subcube_indices(m: int, d: int) -> np.ndarray:
     """
     _check_sizes(m=m, d=d)  # before the cache, which would take 2.5 as a key
     return _index_array(m, d)
+
+
+def locate(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For points `x` of shape (n, d), the row in :func:`subcube_indices` of each
+    point's cell ``i = min(floor(x*m), m-1)`` and its local coordinates ``x*m - i``."""
+    _check_sizes(m=m)
+    d = x.shape[1]
+    local = x * m
+    cells = np.minimum(local.astype(np.int64), m - 1)
+    local -= cells
+    return cells @ m ** np.arange(d - 1, -1, -1, dtype=np.int64), local

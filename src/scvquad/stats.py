@@ -165,8 +165,8 @@ class UniformBounded:
     high: float
 
     def __post_init__(self):
-        if not self.low <= self.high:
-            raise ValueError(f"need low <= high, got [{self.low}, {self.high}]")
+        if not -math.inf < self.low <= self.high < math.inf:  # also rejects nan
+            raise ValueError(f"need finite low <= high, got [{self.low}, {self.high}]")
 
     @property
     def mean(self) -> float:
@@ -182,6 +182,10 @@ class Rademacher:
 
     scale: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.scale):
+            raise ValueError(f"need a finite scale, got {self.scale}")
+
     @property
     def mean(self) -> float:
         return 0.0
@@ -195,6 +199,10 @@ class Constant:
     """Degenerate point mass."""
 
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"need a finite value, got {self.value}")
 
     @property
     def mean(self) -> float:
@@ -300,7 +308,7 @@ _SIGMAS = 3.0
 
 def mz_constant(q: float) -> float:
     """Usable (not optimal) constant: ``2^(1+1/q)`` for q <= 2, ``2(q-1)`` above."""
-    if q < 1.0:
+    if not q >= 1.0:  # also rejects nan
         raise ValueError(f"need q >= 1, got q={q}")
     return 2.0 ** (1.0 + 1.0 / q) if q < 2.0 else 2.0 * (q - 1.0)
 
@@ -347,7 +355,7 @@ def verify_mz(q: float, dists, trials: int = 100_000, seed: int = 0, label: str 
     `dists` is a list of bounded distributions (one per summand) providing
     ``sample(rng, size)`` and an exact ``mean``.
     """
-    if q < 1.0:
+    if not q >= 1.0:  # also rejects nan
         raise ValueError(f"need q >= 1, got q={q}")
     dists = list(dists)
     if not dists:

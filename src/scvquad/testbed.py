@@ -120,8 +120,7 @@ def ball_bump_integral(s: int, d: int) -> float:
 
     Closed form ``Gamma(s+1) * pi^(d/2) / Gamma(d/2 + s + 1)``.
     """
-    if s < 1 or d < 1:
-        raise ValueError(f"need s >= 1 and d >= 1, got s={s}, d={d}")
+    _check_sizes(s=s, d=d)
     return math.gamma(s + 1) * math.pi ** (d / 2) / math.gamma(d / 2 + s + 1)
 
 
@@ -142,8 +141,7 @@ class BumpSpec:
     center: tuple[float, ...]
 
     def __post_init__(self):
-        if self.s < 1 or self.d < 1:
-            raise ValueError(f"need s >= 1 and d >= 1, got s={self.s}, d={self.d}")
+        _check_sizes(s=self.s, d=self.d)
         if not self.p >= 1.0:  # also rejects nan
             raise ValueError(f"need p >= 1, got p={self.p}")
         if not 0.0 < self.sigma <= 0.5:
@@ -204,8 +202,7 @@ def corner_bump(s: int, d: int, p: float, m: int, delta: float) -> Integrand:
     not in the delta-level quantile (for SCV at s=1 that quantile is
     exactly the spike's integral).
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
+    _check_sizes(s=s, d=d, m=m)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"need delta in (0,1), got {delta}")
     if not p >= 1.0:  # also rejects nan

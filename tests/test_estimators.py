@@ -16,7 +16,7 @@ from scvquad.estimators import (
     Method,
     run,
 )
-from scvquad.grid import poly_dim
+from scvquad.grid import poly_dim, subcube_indices
 from scvquad.stats import replicate
 from scvquad.testbed import BumpSpec, Integrand, bump, random_poly
 from scvquad.testbed import test_function_2d as make_benchmark
@@ -151,6 +151,14 @@ def test_stratified_m1_single_sample():
     # the one cell is the whole cube: f at the stream's first uniform point
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
     assert result.value == f(rng.random((1, 2)))[0]
+
+
+def test_stratified_draws_one_point_per_cell_in_cell_order():
+    # cell i's point is the stream's i-th block of d doubles, mapped into the cell
+    f = make_benchmark()
+    result = run(f, EstimatorConfig(method=Method.STRAT, s=3, m=3, seed=8))
+    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(8))).random((9, 2))
+    assert result.value == math.fsum(f((u + subcube_indices(3, 2)) / 3)) / 9
 
 
 def test_shifted_run_draws_shift_then_samples():

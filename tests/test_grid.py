@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scvquad import grid
 from scvquad.grid import (
+    locate,
     monomial_matrix,
     poly_dim,
     regular_nodes,
@@ -73,23 +76,36 @@ def test_subcube_index_cache_keeps_four_grids():
 
 
 def test_subcube_cells_tile_the_cube():
-    """Every point of [0,1)^d lies in exactly one cell (i + [0,1]^d)/m.
-
-    The cell is found as the estimators find it: i = floor(x*m) clipped to
-    m-1, and its row in `subcube_indices` is the lexicographic ravel
-    i @ m**(d-1, ..., 0).
-    """
+    """Every point of [0,1)^d lies in exactly one cell (i + [0,1]^d)/m,
+    and `locate` finds its row in `subcube_indices`."""
     rng = np.random.default_rng(5)
     for m, d in [(1, 1), (2, 3), (3, 2), (4, 2), (7, 1)]:
         cells = subcube_indices(m, d)
         assert cells.shape == (m**d, d)
         x = np.vstack([rng.random((200, d)), np.zeros((1, d)), np.full((1, d), 1 - 2**-53)])
-        i = np.minimum(np.floor(x * m).astype(np.int64), m - 1)
+        i = np.floor(x * m).astype(np.int64)
         matches = (cells[None, :, :] == i[:, None, :]).all(axis=2)
         assert (matches.sum(axis=1) == 1).all()
-        rows = i @ m ** np.arange(d - 1, -1, -1)
+        rows, local = locate(x, m)
         assert np.array_equal(matches.argmax(axis=1), rows)
-        assert np.all((cells[rows] <= x * m) & (x * m <= cells[rows] + 1))
+        assert np.array_equal(local, x * m - cells[rows])
+        assert np.all((0.0 <= local) & (local <= 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(m=st.integers(1, 12), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_locate_inverts_the_cell_map(m, d, seed):
+    """`locate` returns row i and local u for the point (u + subcube_indices(m, d)[i]) / m,
+    up to rounding of u; a coordinate 1 lies in the last cell."""
+    cells = subcube_indices(m, d)
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, len(cells), 64)
+    u = rng.random((64, d))
+    rows, local = locate((u + cells[i]) / m, m)
+    assert np.array_equal(rows, i)
+    assert np.allclose(local, u, rtol=0, atol=1e-12)
+    rows, local = locate(np.ones((1, d)), m)
+    assert rows.tolist() == [m**d - 1] and local.tolist() == [[1.0] * d]
 
 
 def test_subcube_indices_lexicographic():

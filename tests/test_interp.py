@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scvquad.grid import (
+    locate,
     poly_dim,
     regular_nodes,
     shifted_nodes,
@@ -101,9 +102,9 @@ def test_residual_vanishes_at_own_nodes():
     x = ((solver.points[None, :, :] + offsets[:, None, :]) / m).reshape(-1, 2)
     fx = f(x)
     coeffs = solver.solve(fx.reshape(m * m, -1).T)
-    cells = np.floor(x * m).astype(np.int64)
-    local = x * m - cells
-    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, cells @ [m, 1]])
+    rows, local = locate(x, m)
+    assert np.array_equal(rows, np.repeat(np.arange(m * m), len(solver)))
+    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, rows])
     assert np.allclose(gx, fx, rtol=1e-10, atol=0)
 
 

@@ -19,6 +19,7 @@ from scvquad.stats import (
     histogram,
     hoeffding_bound,
     hoeffding_default_suite,
+    mz_constant,
     mz_default_suite,
     prob_error,
     replicate,
@@ -479,6 +480,30 @@ def test_mz_validation():
         verify_mz(0.5, [Constant(1.0)])
     with pytest.raises(ValueError):
         verify_mz(2.0, [])
+
+
+def test_mz_constant_rejects_nan():
+    with pytest.raises(ValueError, match="need q >= 1"):
+        mz_constant(math.nan)
+
+
+def test_verify_mz_rejects_nan_q():
+    with pytest.raises(ValueError, match="need q >= 1"):
+        verify_mz(math.nan, [Rademacher(1.0)], trials=10)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Rademacher(math.nan),
+    lambda: Rademacher(math.inf),
+    lambda: Constant(math.nan),
+    lambda: Constant(-math.inf),
+    lambda: UniformBounded(0.0, math.inf),
+    lambda: UniformBounded(-math.inf, 0.0),
+], ids=["rademacher-nan", "rademacher-inf", "constant-nan", "constant-inf",
+        "uniform-high-inf", "uniform-low-inf"])
+def test_bounded_distributions_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="need (a )?finite"):
+        make()
 
 
 def test_mz_default_suite_passes():

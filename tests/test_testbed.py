@@ -181,6 +181,22 @@ def test_bump_validation():
         BumpSpec(s=1, d=2, p=0.5, sigma=0.2, center=(0.5, 0.5))
 
 
+def test_bump_spec_sizes_are_positive_integers():
+    for s, d in [(1.5, 2), (1, 2.0)]:
+        with pytest.raises(TypeError, match="must be an integer"):
+            BumpSpec(s=s, d=d, p=1.0, sigma=0.2, center=(0.5, 0.5))
+    with pytest.raises(ValueError, match="need s >= 1"):
+        BumpSpec(s=0, d=2, p=1.0, sigma=0.2, center=(0.5, 0.5))
+    assert BumpSpec(s=np.int64(1), d=2, p=1.0, sigma=0.2, center=(0.5, 0.5)).height == 0.2**-1
+
+
+def test_ball_bump_integral_sizes_are_positive_integers():
+    with pytest.raises(TypeError, match="^s must be an integer"):
+        ball_bump_integral(1.5, 2)
+    with pytest.raises(ValueError, match="need d >= 1"):
+        ball_bump_integral(1, 0)
+
+
 def test_bump_rejects_nan_parameters():
     with pytest.raises(ValueError, match="need p >= 1"):
         BumpSpec(s=1, d=2, p=math.nan, sigma=0.2, center=(0.5, 0.5))
@@ -240,6 +256,15 @@ def test_corner_bump_regime_validation():
         corner_bump(2, 2, 1.0, 4, 0.1)  # s >= d/p
     with pytest.raises(ValueError):
         corner_bump(1, 2, 1.0, 4, 1.5)
+
+
+def test_corner_bump_sizes_are_positive_integers():
+    # a 2.5-cell grid has no corner cell
+    for s, d, m in [(1, 2, 2.5), (1, 2.0, 4), (1.0, 2, 4)]:
+        with pytest.raises(TypeError, match="must be an integer"):
+            corner_bump(s, d, 1.0, m, 0.1)
+    with pytest.raises(ValueError, match="need m >= 1"):
+        corner_bump(1, 2, 1.0, 0, 0.1)
 
 
 def test_corner_bump_rejects_nan_p():
