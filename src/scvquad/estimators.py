@@ -8,25 +8,24 @@ control variate and one sample per cell.  Classical control variates (CV)
 uses the identical piecewise interpolant but samples the residual iid over
 the whole cube; CV+MoM replaces the residual mean by a median of group means.
 
-Reproducibility contract: each estimate consumes a single counter-based
-(Philox) stream keyed by a hash of its 64-bit seed.  The draw order is
-fixed (shift first, then one sample block), subcubes are traversed in
-lexicographic index order, and the outer accumulation over the m^d cells
-uses exact compensated summation.  Each method body takes a stack of
-sample blocks, one row per replication, and a stack of fits, one shared
-by all (deterministic mode) or one per replication (shifted mode); only
-elementwise operations, per-matrix solves and reductions within a
-replication's rows touch them.  So an estimate has the same bits alone
-(:func:`run`) or stacked with thousands, whatever the worker count.
-:func:`_ensemble` is the one path for both: it fits once (deterministic
-mode), cuts the seeds into bounded stacks and spreads them over workers.
+Reproducibility contract: each estimate reads one row of draws (shift
+first, then one sample block) from a counter-based (Philox) stream keyed
+by a hash of its 64-bit seed.  Subcubes are traversed in lexicographic
+index order, and each sum over the m^d cells or over a group of samples
+is correctly rounded by :func:`_rounded_sums`, the one reduction.  Each
+method body takes a stack of sample blocks, one row per replication, and
+a stack of fits, one shared by all (deterministic mode) or one per
+replication (shifted mode); only elementwise operations, per-matrix
+solves and reductions within a replication's rows touch them.  So an
+estimate has the same bits alone (:func:`run`) or stacked with thousands,
+whatever the worker count.  :func:`_ensemble`, the one path for both,
+fits once (deterministic mode) and spreads bounded stacks over workers.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -238,7 +237,14 @@ def _sample_shape(cfg: EstimatorConfig, d: int) -> tuple[int, ...]:
     return (k, n0 * cells // k, d)
 
 
-def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[float]:
+def _rounded_sums(x: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum (``math.fsum``) of each row of `x` along its
+    last axis, of shape ``x.shape[:-1]``: the package's one reduction."""
+    rows = x.reshape(-1, x.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in rows]).reshape(x.shape[:-1])
+
+
+def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.ndarray:
     """Stratified control variates, or plain stratified sampling if `fit` is None.
 
     ``m^-d * sum_i (a_i + mean_j [f - g_i](X_i^(j)))`` with the points
@@ -252,11 +258,10 @@ def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[
         solver, coeffs, means = fit
         design = solver.design_matrix(u.reshape(-1, f.dim)).reshape(*u.shape[:-1], -1)
         resid = resid - np.einsum("rcjn,rnc->rcj", design, coeffs)
-    per_cell = means + resid.mean(axis=2)
-    return [math.fsum(cells) / u.shape[1] for cells in per_cell.tolist()]
+    return _rounded_sums(means + resid.mean(axis=2)) / u.shape[1]
 
 
-def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[float]:
+def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.ndarray:
     """Interpolant's integral plus the median of k whole-cube residual group means.
 
     The interpolant is SCV's, and its integral is the mean of the exact
@@ -266,21 +271,20 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> list[
     With k = 1 (CV) this is classical control variates: linear, unbiased
     and exact on polynomials of total degree < s.  With k = cfg.k (CV+MoM)
     it is still exact on those polynomials, but non-linear and biased, and
-    it requires ``n0 * m^d >= k``.  An even k takes the mean of the two
-    central order statistics.
+    it requires ``n0 * m^d >= k``.  Its median is ``statistics.median``'s, by a
+    stable sort (tied ±0 keep their order); an even k averages the central two.
     """
     solver, coeffs, means = fit
-    fit_of = np.arange(len(u)) % len(coeffs)  # each replication's fit; all 0 if shared
-    int_g = np.array([math.fsum(row) / len(row) for row in means.tolist()])[fit_of]
     k, n1 = u.shape[1:3]
     x = u.reshape(-1, f.dim)
     rows, local = locate(x, cfg.m)
+    fit_of = np.arange(len(u)) % len(coeffs)  # each replication's fit; all 0 if shared
     rows = rows.reshape(len(u), -1) + cfg.m**f.dim * fit_of[:, None]
     table = np.swapaxes(coeffs, 1, 2).reshape(-1, coeffs.shape[1])  # C-ordered (fit, cell) rows
     gx = np.einsum("ij,ij->i", solver.design_matrix(local), np.take(table, rows.ravel(), axis=0))
-    groups = (f(x) - gx).reshape(len(u), k, n1).tolist()
-    return [g0 + statistics.median(math.fsum(g) / n1 for g in rep)
-            for g0, rep in zip(int_g.tolist(), groups)]
+    groups = np.sort(_rounded_sums((f(x) - gx).reshape(len(u), k, n1)) / n1, kind="stable")
+    median = groups[:, k // 2] if k % 2 else (groups[:, k // 2 - 1] + groups[:, k // 2]) / 2
+    return _rounded_sums(means) / means.shape[1] + median  # one integral per fit
 
 
 # Sample points per stack of replications, in both modes: bounds an
@@ -300,30 +304,27 @@ def _map(fn, items, workers: int) -> list:
 def _estimates(f: Integrand, cfg: EstimatorConfig, fit, seeds) -> np.ndarray:
     """Values of one stack of replications, with the given seeds.
 
-    Each replication draws from its own stream, by one reused Philox set
-    to the seed's key at counter 0: in shifted mode its node shift (d
-    doubles) first, then its sample block.  `fit` is the shared fit of
-    deterministic mode (None for STRAT); in shifted mode the stack is
-    fitted on its own shifts.  The whole stack goes through the fit, f,
-    the design matrix and the einsum at once.
+    Each replication reads one row of draws from its own stream, in one
+    call of a reused Philox set to the seed's key at counter 0: its node
+    shift (d doubles, shifted mode only), then its sample block.  `fit` is
+    the shared fit of deterministic mode (None for STRAT); in shifted mode
+    the stack is fitted on its own shifts.  The whole stack goes through
+    the fit, f, the design matrix, the einsum and the reductions at once.
     """
     shape = _sample_shape(cfg, f.dim)
-    shifted = cfg.interpolation_mode == SHIFTED and cfg.method is not Method.STRAT
+    n_shift = f.dim if cfg.interpolation_mode == SHIFTED and cfg.method is not Method.STRAT else 0
     gen = np.random.Generator(np.random.Philox(0))
     state = gen.bit_generator.state  # a fresh stream's: counter 0, empty buffer
     keys = _philox_keys(seeds).tolist()
-    shifts = np.empty((len(keys), f.dim))
-    u = np.empty((len(keys), *shape))
+    draws = np.empty((len(keys), n_shift + math.prod(shape)))
     for r, key in enumerate(keys):
         state["state"]["key"] = key
         gen.bit_generator.state = state
-        if shifted:
-            gen.random(out=shifts[r])
-        gen.random(out=u[r])
-    if shifted:
-        fit = _fit(f, cfg, shifts)
+        gen.random(out=draws[r])
+    if n_shift:
+        fit = _fit(f, cfg, draws[:, :n_shift])
     body = _whole_cube if cfg.method in (Method.CV, Method.CV_MOM) else _stratified
-    return np.asarray(body(f, cfg, fit, u))
+    return body(f, cfg, fit, draws[:, n_shift:].reshape(len(keys), *shape))
 
 
 def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np.ndarray:

@@ -196,8 +196,11 @@ def subcube_indices(m: int, d: int) -> np.ndarray:
 
 def locate(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """For points `x` of shape (n, d), the row in :func:`subcube_indices` of each
-    point's cell ``i = min(floor(x*m), m-1)`` and its local coordinates ``x*m - i``."""
+    point's cell ``i = min(floor(x*m), m-1)`` and its local coordinates ``x*m - i``.
+    ValueError unless every point lies in the unit cube."""
     _check_sizes(m=m)
+    if not (x.min() >= 0.0 and x.max() <= 1.0):  # also fails for nan
+        raise ValueError("points must lie inside the unit cube")
     d = x.shape[1]
     local = x * m
     cells = np.minimum(local.astype(np.int64), m - 1)

@@ -1,6 +1,11 @@
 import gc
 import math
+import os
+import statistics
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +141,106 @@ def test_cv_mom_even_k_uses_central_pair():
 
 def test_cv_mom_group_count_default_is_eleven():
     assert EstimatorConfig(method=Method.CV_MOM, s=2, m=4).k == 11
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3])
+def test_cv_mom_at_s1_matches_an_independent_oracle(m, k):
+    """At s = 1 the interpolant is f at each cell's centre, so CV+MoM is the
+    mean of f over the centres plus the median of the k group means of
+    f(x) - f(centre of x's cell), x the stream's first k * n1 points."""
+    f = make_benchmark()
+    n1 = m**2 // k
+    centres = (subcube_indices(m, 2) + 0.5) / m
+    for seed in range(20):
+        value = run(f, EstimatorConfig(method=Method.CV_MOM, s=1, m=m, k=k, seed=seed)).value
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        x = rng.random((k * n1, 2))
+        resid = f(x) - f((np.minimum(np.floor(x * m), m - 1) + 0.5) / m)
+        median = statistics.median(math.fsum(g) / n1 for g in resid.reshape(k, n1).tolist())
+        assert value == math.fsum(f(centres)) / m**2 + median
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+def _row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n doubles of one hard case for a correctly rounded sum."""
+    spread = rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n)
+    if kind == "spread":
+        return spread
+    if kind == "cancel":  # an exact zero sum, in shuffled order
+        return rng.permutation(np.concatenate([spread[: (n + 1) // 2], -spread[: n // 2]]))
+    if kind == "subnormal":
+        return rng.integers(-1000, 1001, n) * 5e-324
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], n)
+    if kind == "negative_zeros":  # fsum gives +0.0
+        return np.full(n, -0.0)
+    # "ties": ones and halves of their ulp, whose exact sums fall halfway
+    return rng.choice([1.0, -1.0, 2.0**-53, -(2.0**-53), 3.0 * 2.0**-53], n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    kind=st.sampled_from(["spread", "cancel", "subnormal", "zeros", "negative_zeros", "ties"]),
+    n=st.one_of(st.integers(1, 70), st.integers(1, 70_000), st.just(70_000)),
+    rows=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rounded_sums_match_fsum_bit_for_bit(kind, n, rows, seed):
+    """`_rounded_sums(x) / n` is `math.fsum(row) / n` for every row along
+    the last axis, with shape x.shape[:-1]."""
+    rng = np.random.default_rng(seed)
+    x = np.stack([_row(kind, n, rng) for _ in range(rows)]).reshape(rows, 1, n)
+    sums = estimators._rounded_sums(x)
+    assert sums.shape == (rows, 1)
+    assert _bits(sums / n) == _bits([[math.fsum(row) / n] for row in x[:, 0].tolist()])
+
+
+# group sums of +-5e-324 over n1 > 1 round to signed zeros, which tie
+_TIES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1.5, 1e300]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_cv_mom_median_matches_statistics_median(k):
+    """`_whole_cube` with a zero interpolant returns the integral of its cell
+    means plus ``statistics.median`` of the k group means ``fsum(g) / n1``,
+    bit for bit, ties and signed zeros included, for 256 replications at
+    once.  The integral of the cell means is -5e-324 / 2 = -0.0, so the
+    median's own bits show."""
+    rng = np.random.default_rng(k)
+    for n1 in (1, 2, 3):
+        shape = (256, k, n1)
+        spread = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape)
+        resid = np.where(rng.random(shape) < 0.8, rng.choice(_TIES, shape), spread)
+        f = Integrand(lambda x: resid.ravel(), dim=1)
+        cfg = EstimatorConfig(method=Method.CV_MOM, s=1, m=2, k=k)
+        fit = (estimators._regular(1, 1), np.zeros((1, 1, 2)), np.array([[-5e-324, 0.0]]))
+        got = estimators._whole_cube(f, cfg, fit, np.full((*shape, 1), 0.25))
+        groups = resid.tolist()
+        expected = [-0.0 + statistics.median(math.fsum(g) / n1 for g in rep) for rep in groups]
+        assert _bits(got) == _bits(expected), f"n1={n1}"
+
+
+def test_ensembles_import_neither_statistics_nor_numpy_ma():
+    """CV+MoM's median is a sort, so an ensemble of each method in each mode
+    loads neither `statistics` nor `numpy.ma` (which `np.median` imports on
+    its first call).  A fresh interpreter, since pytest and hypothesis load
+    `statistics` themselves."""
+    code = "\n".join([
+        "import sys",
+        "import scvquad as sq",
+        "for method in ('scv', 'cv', 'cv_mom', 'strat'):",
+        "    for mode in ('deterministic', 'shifted'):",
+        "        cfg = sq.EstimatorConfig(method=method, s=2, m=2, k=5, interpolation_mode=mode)",
+        "        sq.replicate(sq.test_function_2d(), cfg, 5, master_seed=1)",
+        "print(sorted({'statistics', 'numpy.ma'} & set(sys.modules)))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_stratified_constant_exact():

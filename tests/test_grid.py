@@ -108,6 +108,14 @@ def test_locate_inverts_the_cell_map(m, d, seed):
     assert rows.tolist() == [m**d - 1] and local.tolist() == [[1.0] * d]
 
 
+@pytest.mark.parametrize("point", [[-0.5, 0.2], [1.5, 0.2], [np.nan, 0.2], [0.2, -1e-300]])
+def test_locate_rejects_points_outside_the_cube(point):
+    """A point below the cube would get a negative row, which `np.take` wraps
+    to a real cell; one above, a row past the grid; NaN, an invalid cast."""
+    with pytest.raises(ValueError, match="unit cube"):
+        locate(np.array([point]), 4)
+
+
 def test_subcube_indices_lexicographic():
     arr = subcube_indices(2, 2)
     assert [tuple(r) for r in arr] == [(0, 0), (0, 1), (1, 0), (1, 1)]
