@@ -21,13 +21,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .estimators import (
-    DETERMINISTIC,
-    SHIFTED,
-    BudgetError,
-    EstimatorConfig,
-    Method,
-)
+from .estimators import BudgetError, EstimatorConfig, Method, Mode, _check_seed
 from .stats import (
     derive_seed,
     fit_rate,
@@ -81,8 +75,7 @@ def _at_most(limit: int, noun: str) -> Callable[[str], int]:
 
 def _seed(text: str) -> int:
     value = int(text)
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {value}")
+    _check_seed(value)
     return value
 
 
@@ -126,12 +119,6 @@ def _grid_size(text: str) -> int:
     return sizes[0]
 
 
-def _mode(text: str) -> str:
-    if text not in (DETERMINISTIC, SHIFTED):
-        raise ValueError(f"mode must be {DETERMINISTIC!r} or {SHIFTED!r}, got {text!r}")
-    return text
-
-
 class _Setting(NamedTuple):
     flag: str | None  # command-line flag, if any
     key: str | None  # config-file key, if any
@@ -156,7 +143,7 @@ _SETTINGS = {
     "delta_list": _Setting("--delta", "delta_list", _deltas, "comma-separated uncertainty levels"),
     "thresholds": _Setting(None, "thresholds", _thresholds),
     "bins": _Setting(None, "bins", _positive_int),
-    "mode": _Setting("--mode", "mode", _mode, f"{DETERMINISTIC} or {SHIFTED} nodes"),
+    "mode": _Setting("--mode", "mode", Mode, " or ".join(m.value for m in Mode) + " nodes"),
     "trials": _Setting("--trials", "trials", _at_most(_MAX_TRIALS, "trials"), "Monte Carlo trials"),
 }
 
@@ -320,7 +307,7 @@ def cmd_verify(settings) -> int:
 
 # rates and histogram run the same ensembles of the 2-d test function
 _ENSEMBLE_DEFAULTS = dict(seed=0, threads=1, methods=[Method.CV, Method.CV_MOM, Method.SCV],
-                          s=2, k=11, mode=DETERMINISTIC)
+                          s=2, k=11, mode=Mode.DETERMINISTIC)
 
 # command -> (campaign, {setting: default}); the settings a campaign reads
 _COMMANDS = {
@@ -328,7 +315,7 @@ _COMMANDS = {
     "histogram": (cmd_histogram, dict(_ENSEMBLE_DEFAULTS, m=4, reps=100_000,
                                       thresholds=[2.5, 2.9], bins=50)),
     "tails": (cmd_tails, dict(seed=0, threads=1, s=1, d=2, p=1.0, m=8, reps=10_000,
-                              delta_list=[0.1, 0.05, 0.02], mode=SHIFTED)),
+                              delta_list=[0.1, 0.05, 0.02], mode=Mode.SHIFTED)),
     "verify": (cmd_verify, dict(seed=0, trials=100_000)),
 }
 

@@ -40,6 +40,7 @@ from .testbed import Integrand
 
 __all__ = [
     "Method",
+    "Mode",
     "DETERMINISTIC",
     "SHIFTED",
     "BudgetError",
@@ -47,12 +48,6 @@ __all__ = [
     "EstimateRun",
     "run",
 ]
-
-DETERMINISTIC = "deterministic"
-SHIFTED = "shifted"
-_MODES = (DETERMINISTIC, SHIFTED)
-
-_MAX_SEED = 2**64
 
 
 class Method(str, Enum):
@@ -62,8 +57,24 @@ class Method(str, Enum):
     STRAT = "strat"
 
 
+class Mode(str, Enum):
+    DETERMINISTIC = "deterministic"
+    SHIFTED = "shifted"
+
+
+DETERMINISTIC, SHIFTED = Mode
+
+
 class BudgetError(ValueError):
     """Configuration cannot meet its sampling budget."""
+
+
+def _check_seed(seed) -> None:
+    """TypeError unless `seed` is an integer (a bool is not), ValueError unless in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -78,22 +89,16 @@ class EstimatorConfig:
     s: int
     m: int
     k: int = 11
-    interpolation_mode: str = DETERMINISTIC
+    interpolation_mode: Mode = DETERMINISTIC
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
+        object.__setattr__(self, "interpolation_mode", Mode(self.interpolation_mode))
         _check_sizes(s=self.s, m=self.m, k=self.k)
-        if not isinstance(self.seed, (int, np.integer)):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        _check_seed(self.seed)
         for name in ("s", "m", "k", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))  # no fixed-width overflow in m**d
-        if self.interpolation_mode not in _MODES:
-            raise ValueError(
-                f"interpolation_mode must be one of {_MODES}, got {self.interpolation_mode!r}"
-            )
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     def budget(self, d: int) -> int:
         """Exact number of integrand evaluations the method will spend:
@@ -198,8 +203,8 @@ def _in_cells(f: Integrand, m: int, local: np.ndarray) -> np.ndarray:
 
 
 def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
-    """Check the budget (BudgetError before any evaluation), then
-    interpolate f on every subcube at once; STRAT gets None.
+    """Interpolate f on every subcube at once (SCV, CV and CV+MoM; STRAT has
+    no fit).  The budget is :func:`_ensemble`'s to check, before any call.
 
     With `shifts` of shape (R, d) the fit is a stack of R, one per shifted
     node set (shifted mode); without, one fit of the regular nodes serves
@@ -208,9 +213,6 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     system against all its value columns.  Returns (solver, coeffs,
     cell_means) with coeffs of shape (R or 1, n0, m^d).
     """
-    cfg.budget(f.dim)
-    if cfg.method is Method.STRAT:
-        return None
     solver = _regular(cfg.s, f.dim)
     if shifts is not None:
         solver = LocalInterpolator(shifted_nodes(solver.points, shifts), cfg.s)
@@ -312,7 +314,7 @@ def _estimates(f: Integrand, cfg: EstimatorConfig, fit, seeds) -> np.ndarray:
     the fit, f, the design matrix, the einsum and the reductions at once.
     """
     shape = _sample_shape(cfg, f.dim)
-    n_shift = f.dim if cfg.interpolation_mode == SHIFTED and cfg.method is not Method.STRAT else 0
+    n_shift = f.dim if cfg.interpolation_mode is SHIFTED and cfg.method is not Method.STRAT else 0
     gen = np.random.Generator(np.random.Philox(0))
     state = gen.bit_generator.state  # a fresh stream's: counter 0, empty buffer
     keys = _philox_keys(seeds).tolist()
@@ -330,13 +332,16 @@ def _estimates(f: Integrand, cfg: EstimatorConfig, fit, seeds) -> np.ndarray:
 def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np.ndarray:
     """Values of the replications with the given seeds, in order.
 
-    Fits once in deterministic mode (STRAT gets None), cuts the seeds into
-    stacks of at most ``_BLOCK_POINTS`` sample points and ``ceil(len(seeds)
-    / workers)`` replications, so that a small ensemble still spreads over
-    its workers, and maps :func:`_estimates` over the stacks on `workers` threads.
+    Checks the budget first, by :func:`_sample_shape` (BudgetError before
+    any evaluation), the one check for both modes.  Fits once in
+    deterministic mode (STRAT gets None), cuts the seeds into stacks of at
+    most ``_BLOCK_POINTS`` sample points and ``ceil(len(seeds) / workers)``
+    replications, so that a small ensemble still spreads over its workers,
+    and maps :func:`_estimates` over the stacks on `workers` threads.
     """
-    fit = None if cfg.interpolation_mode == SHIFTED else _fit(f, cfg)
     points = math.prod(_sample_shape(cfg, f.dim)[:-1])
+    shared = cfg.interpolation_mode is DETERMINISTIC and cfg.method is not Method.STRAT
+    fit = _fit(f, cfg) if shared else None
     per_stack = max(1, min(_BLOCK_POINTS // points, -(-len(seeds) // workers)))
     stacks = [seeds[i : i + per_stack] for i in range(0, len(seeds), per_stack)]
     return np.concatenate(_map(partial(_estimates, f, cfg, fit), stacks, workers))

@@ -25,12 +25,18 @@ __all__ = [
 
 
 def _check_sizes(**sizes) -> None:
-    """TypeError unless each size is an integer, ValueError unless each is at least 1."""
+    """TypeError unless each size is an integer (a bool is not), ValueError unless it is >= 1."""
     for name, value in sizes.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"need {name} >= 1, got {name}={value}")
+
+
+def _check_unit_cube(x: np.ndarray, what: str) -> None:
+    """ValueError unless every coordinate of `x` lies in [0, 1], which nan does not."""
+    if not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise ValueError(f"{what} must lie inside the unit cube")
 
 
 def poly_dim(s: int, d: int) -> int:
@@ -169,8 +175,7 @@ def shifted_nodes(base: np.ndarray, shift: np.ndarray) -> np.ndarray:
     base, shift = np.asarray(base, dtype=float), np.asarray(shift, dtype=float)
     if shift.shape[-1:] != base.shape[1:]:
         raise ValueError(f"shift must have shape (..., {base.shape[1]}), got {shift.shape}")
-    if not (shift.min() >= 0.0 and shift.max() <= 1.0):  # also fails for nan
-        raise ValueError("shift must lie inside the unit cube")
+    _check_unit_cube(shift, "shift")
     return (base + shift[..., None, :]) / 2.0
 
 
@@ -199,8 +204,7 @@ def locate(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     point's cell ``i = min(floor(x*m), m-1)`` and its local coordinates ``x*m - i``.
     ValueError unless every point lies in the unit cube."""
     _check_sizes(m=m)
-    if not (x.min() >= 0.0 and x.max() <= 1.0):  # also fails for nan
-        raise ValueError("points must lie inside the unit cube")
+    _check_unit_cube(x, "points")
     d = x.shape[1]
     local = x * m
     cells = np.minimum(local.astype(np.int64), m - 1)

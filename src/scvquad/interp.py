@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import monomial_matrix, poly_dim, total_degree_exponents
+from .grid import _check_unit_cube, monomial_matrix, poly_dim, total_degree_exponents
 
 __all__ = ["RCOND_MIN", "UnisolvenceError", "LocalInterpolator", "monomial_means"]
 
@@ -58,8 +58,7 @@ class LocalInterpolator:
         n0 = poly_dim(s, d)
         if pts.shape[-2:] != (n0, d):
             raise ValueError(f"expected points of shape (..., {n0}, {d}), got {pts.shape}")
-        if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # also fails for nan
-            raise ValueError("interpolation nodes must lie inside the unit cube")
+        _check_unit_cube(pts, "interpolation nodes")
         self.points = _readonly(pts)
         self.exponents = total_degree_exponents(s, d)
         matrix = monomial_matrix(self.points.reshape(-1, d), self.exponents)

@@ -222,6 +222,17 @@ def test_usage_errors_exit_one(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exits_one(seed, capsys):
+    assert main(["verify", "--seed", seed]) == EXIT_CONFIG
+    assert "--seed: seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+
+
+def test_unknown_mode_names_the_flag(capsys):
+    assert main(["rates", "--mode", "other"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --mode: ")
+
+
 def test_histogram_and_tails_take_one_grid_size(tmp_path, capsys):
     assert main(["histogram", "--m", "2,8", "--reps", "5"]) == EXIT_CONFIG
     assert "--m: this campaign takes one grid size" in capsys.readouterr().err

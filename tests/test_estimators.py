@@ -19,6 +19,7 @@ from scvquad.estimators import (
     BudgetError,
     EstimatorConfig,
     Method,
+    Mode,
     run,
 )
 from scvquad.grid import poly_dim, subcube_indices
@@ -109,6 +110,20 @@ def test_cv_mom_budget_violation():
     cfg = EstimatorConfig(method=Method.CV_MOM, s=2, m=1, k=11)
     with pytest.raises(BudgetError):
         run(f, cfg)
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, SHIFTED])
+@pytest.mark.parametrize("entry", [
+    pytest.param(run, id="run"),
+    pytest.param(lambda f, cfg: replicate(f, cfg, 4, master_seed=0, workers=2), id="replicate"),
+])
+def test_budget_violation_spends_no_evaluation(entry, mode):
+    # k = 4 > n0*m^d = 3: one check, before the fit or any stack, in both modes
+    f = make_benchmark()
+    cfg = EstimatorConfig(method=Method.CV_MOM, s=2, m=1, k=4, interpolation_mode=mode)
+    with pytest.raises(BudgetError, match="median-of-means needs"):
+        entry(f, cfg)
+    assert f.evals == 0
 
 
 def test_cv_and_scv_coincide_at_m1():
@@ -334,6 +349,33 @@ def test_config_validation():
     cfg = EstimatorConfig(method=Method.STRAT, s=np.int64(1), m=np.uint8(16), seed=np.uint64(5))
     assert (cfg.s, cfg.m, cfg.seed) == (1, 16, 5) and type(cfg.m) is int
     assert cfg.budget(2) == 256
+
+
+def test_interpolation_mode_is_coerced_to_mode():
+    cfg = EstimatorConfig(method=Method.SCV, s=1, m=1, interpolation_mode="shifted")
+    assert cfg.interpolation_mode is Mode.SHIFTED and cfg.interpolation_mode == "shifted"
+    assert EstimatorConfig(method=Method.SCV, s=1, m=1).interpolation_mode is Mode.DETERMINISTIC
+
+
+_STRAT = EstimatorConfig(method=Method.STRAT, s=1, m=2)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda b: replicate(make_benchmark(), _STRAT, b, 1), id="replicate-R"),
+    pytest.param(lambda b: replicate(make_benchmark(), _STRAT, 2, 1, workers=b),
+                 id="replicate-workers"),
+    pytest.param(lambda b: EstimatorConfig(method=Method.SCV, s=b, m=1), id="config-s"),
+    pytest.param(lambda b: EstimatorConfig(method=Method.SCV, s=1, m=b), id="config-m"),
+    pytest.param(lambda b: EstimatorConfig(method=Method.SCV, s=1, m=1, k=b), id="config-k"),
+    pytest.param(lambda b: EstimatorConfig(method=Method.SCV, s=1, m=1, seed=b), id="config-seed"),
+    pytest.param(lambda b: Integrand(np.sin, dim=b), id="integrand-dim"),
+    pytest.param(lambda b: subcube_indices(b, 2), id="subcube-m"),
+])
+def test_bools_are_not_sizes_or_seeds(entry, flag):
+    # a Python bool is an int subclass, but no more a count or a seed than numpy's
+    with pytest.raises(TypeError, match="must be an integer"):
+        entry(flag)
 
 
 def test_unbiasedness_smoke():
