@@ -12,14 +12,15 @@ Reproducibility contract: each estimate reads one row of draws (shift
 first, then one sample block) from a counter-based (Philox) stream keyed
 by a hash of its 64-bit seed.  Subcubes are traversed in lexicographic
 index order, and each sum over the m^d cells or over a group of samples
-is correctly rounded by :func:`_rounded_sums`, the one reduction.  Each
-method body takes a stack of sample blocks, one row per replication, and
-a stack of fits, one shared by all (deterministic mode) or one per
-replication (shifted mode); only elementwise operations, per-matrix
-solves and reductions within a replication's rows touch them.  So an
-estimate has the same bits alone (:func:`run`) or stacked with thousands,
-whatever the worker count.  :func:`_ensemble`, the one path for both,
-fits once (deterministic mode) and spreads bounded stacks over workers.
+is correctly rounded by :func:`_rounded_sums`, the one reduction: fsum's
+bits, from a certified vectorized sum or from ``math.fsum``.  Each method
+body takes a stack of sample blocks, one row per replication, and a stack
+of fits, one shared by all (deterministic mode) or one per replication
+(shifted mode); only elementwise operations, per-matrix solves and
+reductions within a replication's rows touch them.  So an estimate has
+the same bits alone (:func:`run`) or stacked with thousands, whatever the
+worker count.  :func:`_ensemble`, the one path for both, fits once
+(deterministic mode) and spreads bounded stacks over workers.
 """
 
 from __future__ import annotations
@@ -240,10 +241,40 @@ def _sample_shape(cfg: EstimatorConfig, d: int) -> tuple[int, ...]:
 
 
 def _rounded_sums(x: np.ndarray) -> np.ndarray:
-    """The correctly rounded sum (``math.fsum``) of each row of `x` along its
-    last axis, of shape ``x.shape[:-1]``: the package's one reduction."""
-    rows = x.reshape(-1, x.shape[-1]).tolist()
-    return np.array([math.fsum(row) for row in rows]).reshape(x.shape[:-1])
+    """The correctly rounded sum of each row of `x` along its last axis, with
+    ``math.fsum``'s bits, of shape ``x.shape[:-1]``: the one reduction.
+
+    TwoSum folds each row in halves, keeping each rounding error e, and
+    ``hi + lo`` (lo: the e summed in any order) rounds once.  A correctly
+    rounded sum is unique: this one stands where nothing was rounded or its
+    bound (gamma_(n-1) sum|e|, Higham 2002, §4.2) is under half the gap to
+    its neighbours; ``math.fsum`` takes the other rows, and stacks near overflow.
+    """
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    buf = rows.T.copy()  # (n, R): rows fold into buf[:w], the errors fill buf[w:]
+    tmp = np.empty((2, n // 2, len(rows)))
+    with np.errstate(over="ignore", invalid="ignore"):  # such stacks go to fsum
+        w = n
+        while w > 1:  # buf[:h] + buf[w-h:w] = s + e; an odd w keeps buf[h]
+            h = w // 2
+            a, b, s, c = buf[:h], buf[w - h : w], tmp[0, :h], tmp[1, :h]
+            np.add(a, b, out=s)
+            np.subtract(s, a, out=c)
+            np.subtract(b, c, out=b)
+            b += np.subtract(a, np.subtract(s, c, out=c), out=c)  # e = (b - c) + (a - (s - c))
+            a[...] = s
+            w -= h
+        hi, e, ones = buf[0], buf[1:], np.ones(n - 1)
+        lo = ones @ e
+        r = hi + lo  # lo is +0.0 for an exact row, so a zero sum is +0.0, as fsum's
+        c = r - hi
+        err = np.abs((hi - (r - c)) + (lo - c)) + ones @ np.abs(e, out=e) * (n * 2.0**-52)
+        gap = np.abs(r) - np.nextafter(np.abs(r), 0)
+    limit = 2.0**1020 / n  # below it, no partial sum of fsum's overflows
+    ok = ((err < gap / 2) | (err == 0)) & (-limit < rows.min() and rows.max() < limit)
+    r[~ok] = [math.fsum(row) for row in rows[~ok].tolist()]
+    return r.reshape(x.shape[:-1])
 
 
 def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.ndarray:

@@ -134,8 +134,7 @@ def histogram(sample: ErrorSample, bins: int) -> list[tuple[float, float, int]]:
     Returns (left, right, count) triples whose counts sum to R.  When all
     errors coincide the single populated degenerate bin is returned.
     """
-    if bins < 1:
-        raise ValueError(f"need bins >= 1, got {bins}")
+    _check_sizes(bins=bins)
     errors = sample.errors
     lo, hi = float(errors.min()), float(errors.max())
     if lo == hi:
@@ -279,8 +278,7 @@ def verify_hoeffding_p(
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    _check_sizes(trials=trials)
     bound = hoeffding_bound(p, b, delta)
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -359,6 +357,7 @@ def verify_mz(q: float, dists, trials: int = 100_000, seed: int = 0, label: str 
     dists = list(dists)
     if not dists:
         raise ValueError("need at least one distribution")
+    _check_sizes(trials=trials)
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     n = len(dists)

@@ -492,6 +492,33 @@ def test_verify_mz_rejects_nan_q():
         verify_mz(math.nan, [Rademacher(1.0)], trials=10)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_verify_hoeffding_p_trials_must_be_an_integer(bad):
+    with pytest.raises(TypeError, match="trials must be an integer"):
+        verify_hoeffding_p(1.5, [1.0], 0.1, trials=bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_verify_mz_trials_must_be_an_integer(bad):
+    with pytest.raises(TypeError, match="trials must be an integer"):
+        verify_mz(2.0, [Rademacher(1.0)], trials=bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_histogram_bins_must_be_an_integer(bad):
+    with pytest.raises(TypeError, match="bins must be an integer"):
+        histogram(_sample(np.array([-1.0, 1.0])), bad)
+
+
+def test_count_checks_keep_their_lower_bounds():
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        verify_hoeffding_p(1.5, [1.0], 0.1, trials=0)
+    with pytest.raises(ValueError, match="need trials >= 2"):
+        verify_mz(2.0, [Rademacher(1.0)], trials=1)
+    with pytest.raises(ValueError, match="need bins >= 1"):
+        histogram(_sample(np.array([-1.0, 1.0])), 0)
+
+
 @pytest.mark.parametrize("make", [
     lambda: Rademacher(math.nan),
     lambda: Rademacher(math.inf),

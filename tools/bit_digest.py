@@ -10,7 +10,9 @@ checkout.  Groups:
   ``n0*m^d <= 40,000``, the integrands ``random_poly(s+1, d, 7)`` and
   ``exp(x1+...+xd)``, both modes, and scv, strat, cv and cv_mom at k in
   {2, 5, 11}; then the 2-d test function at s = 2 and m in {4, 16, 64, 256}
-  for every method, and the default ``tails`` corner bumps in shifted mode.
+  for every method, the default ``tails`` corner bumps in shifted mode, and
+  the benchmark's 4-d bump at s = 3, m = 10 for scv and cv, whose sums run
+  over 10^4 cells and 1.5*10^5 samples.
 * ``<campaign> threads=T``: exit code, output CSV, summary CSV and stderr
   of a ``histogram``, shifted ``histogram``, ``tails`` and ``rates`` run.
 * ``verify``: exit code and text of ``verify --seed 3 --trials 2000``.
@@ -40,10 +42,11 @@ from scvquad import cli
 from scvquad.estimators import EstimatorConfig, Method
 from scvquad.grid import poly_dim
 from scvquad.stats import replicate
-from scvquad.testbed import Integrand, corner_bump, random_poly, test_function_2d
+from scvquad.testbed import BumpSpec, Integrand, bump, corner_bump, random_poly, test_function_2d
 
 R, MASTER_SEED = 7, 11
 MAX_NODE_EVALS = 40_000
+GRID_BUMP = BumpSpec(s=2, d=4, p=1.0, sigma=0.45, center=(0.5,) * 4)  # the benchmark's bump_d4
 # (method, k) pairs of the sweep: CV+MoM at three group counts
 METHODS = [(Method.SCV, 11), (Method.STRAT, 11), (Method.CV, 11)] + [
     (Method.CV_MOM, k) for k in (2, 5, 11)]
@@ -80,6 +83,9 @@ def ensembles():
     cfg = EstimatorConfig(method=Method.SCV, s=1, m=8, interpolation_mode="shifted")
     for delta in (0.1, 0.05, 0.02):
         yield f"corner-bump delta={delta}", partial(corner_bump, 1, 2, 1.0, 8, delta), cfg
+    for method in (Method.SCV, Method.CV):
+        cfg = EstimatorConfig(method=method, s=3, m=10)
+        yield f"bump d=4 m=10 {method.value}", partial(bump, GRID_BUMP), cfg
 
 
 def replicate_digest(workers: int) -> tuple[str, int]:
