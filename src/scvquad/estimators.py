@@ -18,9 +18,10 @@ body takes a stack of sample blocks, one row per replication, and a stack
 of fits, one shared by all (deterministic mode) or one per replication
 (shifted mode); only elementwise operations, per-matrix solves and
 reductions within a replication's rows touch them.  So an estimate has
-the same bits alone (:func:`run`) or stacked with thousands, whatever the
-worker count.  :func:`_ensemble`, the one path for both, fits once
-(deterministic mode) and spreads bounded stacks over workers.
+the same bits alone (:func:`run`) or stacked with thousands, in one tile
+of points or many, whatever the worker count.  :func:`_ensemble`, the one
+path for both, fits once (deterministic mode) and spreads bounded stacks
+over workers.
 """
 
 from __future__ import annotations
@@ -196,10 +197,11 @@ def _regular(s: int, d: int) -> LocalInterpolator:
     return LocalInterpolator(regular_nodes(s, d), s)
 
 
-def _in_cells(f: Integrand, m: int, local: np.ndarray) -> np.ndarray:
-    """f at local points (..., m^d or 1, J, d) mapped into every cell, point j
-    of cell i at ``(local + i) / m``; values of shape (-1, m^d, J)."""
-    x = (local + subcube_indices(m, f.dim)[:, None, :]) / m
+def _in_cells(f: Integrand, m: int, local: np.ndarray, cells: slice) -> np.ndarray:
+    """f at local points (..., c or 1, J, d) mapped into the c cells of the
+    slice `cells` of :func:`subcube_indices`, point j of cell i at
+    ``(local + i) / m``; values of shape (-1, c, J)."""
+    x = (local + subcube_indices(m, f.dim)[cells, None, :]) / m
     return f(x.reshape(-1, f.dim)).reshape(-1, *x.shape[-3:-1])
 
 
@@ -210,14 +212,20 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     With `shifts` of shape (R, d) the fit is a stack of R, one per shifted
     node set (shifted mode); without, one fit of the regular nodes serves
     every seed (a stack of one).  Evaluates f at the node sets mapped into
-    every cell (node order within each cell) and solves each collocation
-    system against all its value columns.  Returns (solver, coeffs,
+    every cell (node order within each cell), in tiles of at most
+    ``_BLOCK_POINTS`` nodes, and solves each collocation system against all
+    its value columns at once: the solve and the moments product change bits
+    with their column count, so neither is tiled.  Returns (solver, coeffs,
     cell_means) with coeffs of shape (R or 1, n0, m^d).
     """
     solver = _regular(cfg.s, f.dim)
     if shifts is not None:
         solver = LocalInterpolator(shifted_nodes(solver.points, shifts), cfg.s)
-    values = _in_cells(f, cfg.m, solver.points[..., None, :, :])
+    values = np.empty((1 if shifts is None else len(shifts), cfg.m**f.dim, len(solver)))
+    step = max(1, _BLOCK_POINTS // (len(values) * len(solver)))
+    for c in range(0, values.shape[1], step):
+        tile = slice(c, c + step)
+        values[:, tile] = _in_cells(f, cfg.m, solver.points[..., None, :, :], tile)
     coeffs = solver.solve(np.swapaxes(values, -1, -2))
     return solver, coeffs, solver.moments @ coeffs
 
@@ -283,15 +291,22 @@ def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
     ``m^-d * sum_i (a_i + mean_j [f - g_i](X_i^(j)))`` with the points
     X_i^(j) of `u` uniform on cell i: n0 of them for SCV, whose g_i is the
     cell's interpolant with exact mean a_i (exact on polynomials of total
-    degree < s, linear and unbiased), and one for STRAT, with g = 0.
+    degree < s, linear and unbiased), and one for STRAT, with g = 0.  The
+    cells go in tiles of at most ``_BLOCK_POINTS`` points of the stack; only
+    the cell terms outlive a tile, and they are summed once.
     """
-    resid = _in_cells(f, cfg.m, u)
-    means = 0.0
-    if fit is not None:
-        solver, coeffs, means = fit
-        design = solver.design_matrix(u.reshape(-1, f.dim)).reshape(*u.shape[:-1], -1)
-        resid = resid - np.einsum("rcjn,rnc->rcj", design, coeffs)
-    return _rounded_sums(means + resid.mean(axis=2)) / u.shape[1]
+    solver, coeffs, means = fit or (None, None, np.broadcast_to(0.0, (1, u.shape[1])))
+    cell_terms = np.empty(u.shape[:2])
+    step = max(1, _BLOCK_POINTS // (len(u) * u.shape[2]))
+    for c in range(0, u.shape[1], step):
+        tile = slice(c, c + step)
+        ut = u[:, tile]
+        resid = _in_cells(f, cfg.m, ut, tile)
+        if fit is not None:  # a slice of coeffs: a fresh copy would change the einsum's bits
+            design = solver.design_matrix(ut.reshape(-1, f.dim)).reshape(*resid.shape, -1)
+            resid = resid - np.einsum("rcjn,rnc->rcj", design, coeffs[:, :, tile])
+        cell_terms[:, tile] = means[:, tile] + resid.mean(axis=2)  # STRAT: 0.0 + mean, so no -0.0
+    return _rounded_sums(cell_terms) / u.shape[1]
 
 
 def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.ndarray:
@@ -306,24 +321,33 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
     it is still exact on those polynomials, but non-linear and biased, and
     it requires ``n0 * m^d >= k``.  Its median is ``statistics.median``'s, by a
     stable sort (tied ±0 keep their order); an even k averages the central two.
+    The samples go in tiles of at most ``_BLOCK_POINTS`` points of the stack;
+    only the residuals outlive a tile.
     """
     solver, coeffs, means = fit
     k, n1 = u.shape[1:3]
-    x = u.reshape(-1, f.dim)
-    rows, local = locate(x, cfg.m)
-    fit_of = np.arange(len(u)) % len(coeffs)  # each replication's fit; all 0 if shared
-    rows = rows.reshape(len(u), -1) + cfg.m**f.dim * fit_of[:, None]
-    table = np.swapaxes(coeffs, 1, 2).reshape(-1, coeffs.shape[1])  # C-ordered (fit, cell) rows
-    gx = np.einsum("ij,ij->i", solver.design_matrix(local), np.take(table, rows.ravel(), axis=0))
-    groups = np.sort(_rounded_sums((f(x) - gx).reshape(len(u), k, n1)) / n1, kind="stable")
+    x = u.reshape(len(u), k * n1, f.dim)
+    offset = cfg.m**f.dim * (np.arange(len(u)) % len(coeffs))[:, None]  # each replication's fit
+    table = np.ascontiguousarray(np.swapaxes(coeffs, 1, 2)).reshape(-1, len(solver))  # (fit, cell)
+    resid = np.empty(x.shape[:2])
+    step = max(1, _BLOCK_POINTS // len(u))
+    for t in range(0, k * n1, step):
+        xt = x[:, t : t + step].reshape(-1, f.dim)
+        rows, local = locate(xt, cfg.m)
+        coeff_rows = np.take(table, (rows.reshape(len(u), -1) + offset).ravel(), axis=0)
+        gx = np.einsum("ij,ij->i", solver.design_matrix(local), coeff_rows)
+        resid[:, t : t + step] = (f(xt) - gx).reshape(len(u), -1)
+    groups = np.sort(_rounded_sums(resid.reshape(len(u), k, n1)) / n1, kind="stable")
     median = groups[:, k // 2] if k % 2 else (groups[:, k // 2 - 1] + groups[:, k // 2]) / 2
     return _rounded_sums(means) / means.shape[1] + median  # one integral per fit
 
 
-# Sample points per stack of replications, in both modes: bounds an
-# ensemble's memory for any R.  At 2^13 a default `tails` ensemble's traced
-# peak is 0.9 MB (1.4 MB at 2^15), at the same time per replication.  A
-# replication of more than 2^12 points stacks alone.
+# Sample points per stack of replications, in both modes, and per tile
+# within a stack: a replication of more than 2^12 points stacks alone, and
+# one of more than 2^13 runs its fit and body in tiles of at most 2^13
+# points.  Only draws, fit values, coefficients and per-cell or per-sample
+# results grow with the replication.  At 2^13 a default `tails` ensemble's
+# traced peak is 0.9 MB (1.4 MB at 2^15), at the same time per replication.
 _BLOCK_POINTS = 1 << 13
 
 
@@ -341,8 +365,8 @@ def _estimates(f: Integrand, cfg: EstimatorConfig, fit, seeds) -> np.ndarray:
     call of a reused Philox set to the seed's key at counter 0: its node
     shift (d doubles, shifted mode only), then its sample block.  `fit` is
     the shared fit of deterministic mode (None for STRAT); in shifted mode
-    the stack is fitted on its own shifts.  The whole stack goes through
-    the fit, f, the design matrix, the einsum and the reductions at once.
+    the stack is fitted on its own shifts.  The stack goes through f, the
+    design matrix and the einsum in tiles, and through each reduction whole.
     """
     shape = _sample_shape(cfg, f.dim)
     n_shift = f.dim if cfg.interpolation_mode is SHIFTED and cfg.method is not Method.STRAT else 0

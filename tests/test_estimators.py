@@ -259,16 +259,20 @@ def test_cv_mom_median_matches_statistics_median(k):
     means plus ``statistics.median`` of the k group means ``fsum(g) / n1``,
     bit for bit, ties and signed zeros included, for 256 replications at
     once.  The integral of the cell means is -5e-324 / 2 = -0.0, so the
-    median's own bits show."""
+    median's own bits show.  Residual i sits at its own point
+    ``(i + 0.5) / 2N`` of cell 0, and f looks it up from the point, so any
+    batch of points gets its own values."""
     rng = np.random.default_rng(k)
     for n1 in (1, 2, 3):
         shape = (256, k, n1)
         spread = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape)
         resid = np.where(rng.random(shape) < 0.8, rng.choice(_TIES, shape), spread)
-        f = Integrand(lambda x: resid.ravel(), dim=1)
+        n = resid.size
+        f = Integrand(lambda x: resid.ravel()[np.rint(x[:, 0] * 2 * n - 0.5).astype(int)], dim=1)
         cfg = EstimatorConfig(method=Method.CV_MOM, s=1, m=2, k=k)
         fit = (estimators._regular(1, 1), np.zeros((1, 1, 2)), np.array([[-5e-324, 0.0]]))
-        got = estimators._whole_cube(f, cfg, fit, np.full((*shape, 1), 0.25))
+        u = ((np.arange(n) + 0.5) / (2 * n)).reshape(*shape, 1)
+        got = estimators._whole_cube(f, cfg, fit, u)
         groups = resid.tolist()
         expected = [-0.0 + statistics.median(math.fsum(g) / n1 for g in rep) for rep in groups]
         assert _bits(got) == _bits(expected), f"n1={n1}"
@@ -353,6 +357,50 @@ def test_ensemble_holds_no_mapped_nodes():
     finally:
         tracemalloc.stop()
     assert held < poly_dim(s, d) * m**d * d * 8 / 4
+
+
+_TILE_METHODS = [(Method.SCV, 11), (Method.STRAT, 11), (Method.CV, 11), (Method.CV_MOM, 5)]
+
+
+@pytest.mark.parametrize("mode", [DETERMINISTIC, SHIFTED])
+@pytest.mark.parametrize("method,k", _TILE_METHODS, ids=[m.value for m, _ in _TILE_METHODS])
+@pytest.mark.parametrize("s,d,m", [(2, 2, 64), (3, 2, 20), (3, 4, 3)], ids=["n0=3", "n0=6", "n0=15"])
+def test_tiles_keep_every_bit(monkeypatch, s, d, m, method, k, mode):
+    """`replicate` errors are byte-identical whatever the tile size: one cell
+    or one sample per tile; a last tile of one cell (SCV, STRAT) or one
+    sample (CV, CV+MoM), the fit's last tile one cell too except for CV+MoM;
+    and the whole replication in one tile.  At n0 >= 6 a tiled collocation
+    solve or moments product changes bits, so both stay whole."""
+    f = bump(BumpSpec(s=2, d=d, p=1.0, sigma=0.45, center=(0.5,) * d))
+    cfg = EstimatorConfig(method=method, s=s, m=m, k=k, interpolation_mode=mode)
+    default = replicate(f, cfg, 3, master_seed=5).errors.tobytes()
+    shape = estimators._sample_shape(cfg, d)
+    unit = shape[1] if method in (Method.SCV, Method.STRAT) else 1  # points per cell or per sample
+    for block in (1, shape[0] * shape[1] - unit, 2**40):
+        monkeypatch.setattr(estimators, "_BLOCK_POINTS", block)
+        assert replicate(f, cfg, 3, master_seed=5).errors.tobytes() == default, f"block={block}"
+
+
+def test_cv_memory_is_bounded_by_tiles():
+    """One CV `run` on the benchmark's 4-d bump at s=3, m=10 (n0 = 15, 10^4
+    cells, N = 1.5*10^5 samples) peaks below 20 MB (10^6 bytes) traced.
+    What still grows with the replication: the draws, 4.8 MB (N*d
+    doubles); the residual row, 1.2 MB (N); the fit's values, their solve
+    copies and its coefficients, about 5 MB (n0*10^4 doubles, 1.2 MB each);
+    the contiguous (fit, cell) table, 1.2 MB.  Each tile of 2^13 samples
+    adds its points, design matrix and gathered coefficients, about
+    2^13*n0 doubles (1 MB) each.  That is about 15 MB; the whole
+    replication at once peaked at 49.3 MB."""
+    f = bump(BumpSpec(s=2, d=4, p=1.0, sigma=0.45, center=(0.5,) * 4))
+    cfg = EstimatorConfig(method=Method.CV, s=3, m=10, seed=3)
+    run(f, cfg)  # caches (node set, cell indices) outside the trace
+    tracemalloc.start()
+    try:
+        run(f, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_run_dispatches_all_methods():

@@ -10,9 +10,11 @@ checkout.  Groups:
   ``n0*m^d <= 40,000``, the integrands ``random_poly(s+1, d, 7)`` and
   ``exp(x1+...+xd)``, both modes, and scv, strat, cv and cv_mom at k in
   {2, 5, 11}; then the 2-d test function at s = 2 and m in {4, 16, 64, 256}
-  for every method, the default ``tails`` corner bumps in shifted mode, and
-  the benchmark's 4-d bump at s = 3, m = 10 for scv and cv, whose sums run
-  over 10^4 cells and 1.5*10^5 samples.
+  for every method, the default ``tails`` corner bumps in shifted mode, the
+  benchmark's 4-d bump at s = 3, m = 10 for scv and cv, whose sums run
+  over 10^4 cells and 1.5*10^5 samples, and the 2-d test function at
+  s = 2, m = 181 for scv and cv, whose 32,761 cells leave SCV's tiles of
+  2,730 cells a last tile of one cell.
 * ``<campaign> threads=T``: exit code, output CSV, summary CSV and stderr
   of a ``histogram``, shifted ``histogram``, ``tails`` and ``rates`` run.
 * ``verify``: exit code and text of ``verify --seed 3 --trials 2000``.
@@ -86,6 +88,9 @@ def ensembles():
     for method in (Method.SCV, Method.CV):
         cfg = EstimatorConfig(method=method, s=3, m=10)
         yield f"bump d=4 m=10 {method.value}", partial(bump, GRID_BUMP), cfg
+    for method in (Method.SCV, Method.CV):
+        cfg = EstimatorConfig(method=method, s=2, m=181)
+        yield f"test-function m=181 {method.value}", test_function_2d, cfg
 
 
 def replicate_digest(workers: int) -> tuple[str, int]:
