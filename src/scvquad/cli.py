@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -223,9 +224,12 @@ def _ensembles(settings, m_list: list[int]) -> list:
 def _write_campaign(out: Path, ensembles: list, summary_rows: list) -> None:
     """The raw rows of every ensemble to `out`, the summary rows beside it."""
     summary = out.with_name(out.stem + "_summary" + (out.suffix or ".csv"))
-    prefixes = [(",".join(map(str, base)), sample) for base, sample in ensembles]
-    _write_csv(out, RAW_HEADER, ((prefix, rep, err) for prefix, sample in prefixes
-                                 for rep, err in enumerate(sample.errors.tolist())))
+    with open(out, "w", newline="") as handle:  # one f-string per raw row, `str` as in _write_csv
+        handle.write(",".join(RAW_HEADER) + "\n")
+        for base, sample in ensembles:
+            prefix = ",".join(map(str, base))
+            handle.writelines(f"{prefix},{rep},{err}\n"
+                              for rep, err in enumerate(sample.errors.tolist()))
     _write_csv(summary, SUMMARY_HEADER, summary_rows)
     print(f"wrote {out} and {summary}")
 
@@ -327,6 +331,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@cache  # parse_args keeps no state in the parser: one parser per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="scvquad",

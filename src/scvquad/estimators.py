@@ -20,8 +20,8 @@ of fits, one shared by all (deterministic mode) or one per replication
 reductions within a replication's rows touch them.  So an estimate has
 the same bits alone (:func:`run`) or stacked with thousands, in one tile
 of points or many, whatever the worker count.  :func:`_ensemble`, the one
-path for both, fits once (deterministic mode) and spreads bounded stacks
-over workers.
+path for both, fits once (deterministic mode), hashes every key once and
+spreads bounded stacks of key rows over workers.
 """
 
 from __future__ import annotations
@@ -215,8 +215,10 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     every cell (node order within each cell), in tiles of at most
     ``_BLOCK_POINTS`` nodes, and solves each collocation system against all
     its value columns at once: the solve and the moments product change bits
-    with their column count, so neither is tiled.  Returns (solver, coeffs,
-    cell_means) with coeffs of shape (R or 1, n0, m^d).
+    with their column count, so neither is tiled.  SCV gets (solver, coeffs,
+    cell_means), coeffs of shape (R or 1, n0, m^d); CV and CV+MoM get
+    (solver, table, integrals), the C-ordered (fit, cell) rows of coeffs
+    and the mean of each fit's exact cell means, made once per fit.
     """
     solver = _regular(cfg.s, f.dim)
     if shifts is not None:
@@ -227,7 +229,10 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
         tile = slice(c, c + step)
         values[:, tile] = _in_cells(f, cfg.m, solver.points[..., None, :, :], tile)
     coeffs = solver.solve(np.swapaxes(values, -1, -2))
-    return solver, coeffs, solver.moments @ coeffs
+    if cfg.method is Method.SCV:
+        return solver, coeffs, solver.moments @ coeffs
+    table = np.ascontiguousarray(np.swapaxes(coeffs, 1, 2)).reshape(-1, len(solver))
+    return solver, table, _rounded_sums(solver.moments @ coeffs) / cfg.m**f.dim
 
 
 def _sample_shape(cfg: EstimatorConfig, d: int) -> tuple[int, ...]:
@@ -324,11 +329,10 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
     The samples go in tiles of at most ``_BLOCK_POINTS`` points of the stack;
     only the residuals outlive a tile.
     """
-    solver, coeffs, means = fit
+    solver, table, integrals = fit
     k, n1 = u.shape[1:3]
     x = u.reshape(len(u), k * n1, f.dim)
-    offset = cfg.m**f.dim * (np.arange(len(u)) % len(coeffs))[:, None]  # each replication's fit
-    table = np.ascontiguousarray(np.swapaxes(coeffs, 1, 2)).reshape(-1, len(solver))  # (fit, cell)
+    offset = cfg.m**f.dim * (np.arange(len(u)) % len(integrals))[:, None]  # each replication's fit
     resid = np.empty(x.shape[:2])
     step = max(1, _BLOCK_POINTS // len(u))
     for t in range(0, k * n1, step):
@@ -339,7 +343,7 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
         resid[:, t : t + step] = (f(xt) - gx).reshape(len(u), -1)
     groups = np.sort(_rounded_sums(resid.reshape(len(u), k, n1)) / n1, kind="stable")
     median = groups[:, k // 2] if k % 2 else (groups[:, k // 2 - 1] + groups[:, k // 2]) / 2
-    return _rounded_sums(means) / means.shape[1] + median  # one integral per fit
+    return integrals + median
 
 
 # Sample points per stack of replications, in both modes, and per tile
@@ -358,26 +362,28 @@ def _map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _estimates(f: Integrand, cfg: EstimatorConfig, fit, seeds) -> np.ndarray:
-    """Values of one stack of replications, with the given seeds.
+def _estimates(f: Integrand, cfg: EstimatorConfig, fit, keys: np.ndarray) -> np.ndarray:
+    """Values of one stack of replications, given their (n, 2) Philox key rows.
 
-    Each replication reads one row of draws from its own stream, in one
-    call of a reused Philox set to the seed's key at counter 0: its node
-    shift (d doubles, shifted mode only), then its sample block.  `fit` is
-    the shared fit of deterministic mode (None for STRAT); in shifted mode
-    the stack is fitted on its own shifts.  The stack goes through f, the
-    design matrix and the einsum in tiles, and through each reduction whole.
+    Each replication reads one row of draws from its own stream, in one call
+    of a reused Philox re-keyed to a fresh stream (counter 0, empty buffer)
+    from plain ints, which numpy's setter reads faster than uint64 arrays:
+    its node shift (d doubles, shifted mode only), then its sample block.
+    `fit` is the shared fit of deterministic mode (None for STRAT); in
+    shifted mode the stack is fitted on its own shifts.  The stack goes
+    through f, the design matrix and the einsum in tiles, and through each
+    reduction whole.
     """
     shape = _sample_shape(cfg, f.dim)
     n_shift = f.dim if cfg.interpolation_mode is SHIFTED and cfg.method is not Method.STRAT else 0
     gen = np.random.Generator(np.random.Philox(0))
-    state = gen.bit_generator.state  # a fresh stream's: counter 0, empty buffer
-    keys = _philox_keys(seeds).tolist()
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     draws = np.empty((len(keys), n_shift + math.prod(shape)))
-    for r, key in enumerate(keys):
+    for row, key in zip(draws, keys.tolist()):  # only this stack's keys become ints
         state["state"]["key"] = key
         gen.bit_generator.state = state
-        gen.random(out=draws[r])
+        gen.random(out=row)
     if n_shift:
         fit = _fit(f, cfg, draws[:, :n_shift])
     body = _whole_cube if cfg.method in (Method.CV, Method.CV_MOM) else _stratified
@@ -389,16 +395,18 @@ def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np
 
     Checks the budget first, by :func:`_sample_shape` (BudgetError before
     any evaluation), the one check for both modes.  Fits once in
-    deterministic mode (STRAT gets None), cuts the seeds into stacks of at
-    most ``_BLOCK_POINTS`` sample points and ``ceil(len(seeds) / workers)``
-    replications, so that a small ensemble still spreads over its workers,
-    and maps :func:`_estimates` over the stacks on `workers` threads.
+    deterministic mode (STRAT gets None), hashes all the Philox keys at
+    once into one (R, 2) uint64 array, cuts its rows into stacks of at most
+    ``_BLOCK_POINTS`` sample points and ``ceil(R / workers)`` replications,
+    so that a small ensemble still spreads over its workers, and maps
+    :func:`_estimates` over the stacks on `workers` threads.
     """
     points = math.prod(_sample_shape(cfg, f.dim)[:-1])
     shared = cfg.interpolation_mode is DETERMINISTIC and cfg.method is not Method.STRAT
     fit = _fit(f, cfg) if shared else None
-    per_stack = max(1, min(_BLOCK_POINTS // points, -(-len(seeds) // workers)))
-    stacks = [seeds[i : i + per_stack] for i in range(0, len(seeds), per_stack)]
+    keys = _philox_keys(seeds)
+    per_stack = max(1, min(_BLOCK_POINTS // points, -(-len(keys) // workers)))
+    stacks = [keys[i : i + per_stack] for i in range(0, len(keys), per_stack)]
     return np.concatenate(_map(partial(_estimates, f, cfg, fit), stacks, workers))
 
 

@@ -10,9 +10,10 @@ An ensemble derives its replications' seeds with one :func:`derive_seed`
 call over an index array (the package's own SeedSequence hash, which
 lives beside the Philox keys in :mod:`estimators`) and hands them to
 ``estimators._ensemble``, the one ensemble path: it fits once in
-deterministic mode, cuts the seeds into bounded stacks (each fitted on its
-own shifts in shifted mode) and spreads them over the workers.  Either
-way replication i's bits depend only on i, not on R or the worker count.
+deterministic mode, hashes every seed's Philox key once, cuts the key rows
+into bounded stacks (each fitted on its own shifts in shifted mode) and
+spreads them over the workers.  Either way replication i's bits depend
+only on i, not on R or the worker count.
 """
 
 from __future__ import annotations
@@ -83,13 +84,14 @@ def replicate(
     """R independent runs, replication i under seed ``derive_seed(master_seed, i)``.
 
     Requires the integrand's exact integral.  One :func:`estimators._ensemble`
-    call does the work: in deterministic mode the interpolant does not
-    depend on the seed, so it is fitted once and shared, and the ensemble
-    spends ``n0*m^d`` node evaluations plus each replication's residual
-    samples.  In shifted mode each replication draws its own shift and
-    each stack of replications is fitted at once, so the ensemble spends R
-    full budgets.  Stacks are bounded in sample points and spread over
-    `workers` threads.  Either way the errors, in replication order, equal
+    call does the work, hashing every Philox key once: in deterministic mode
+    the interpolant does not depend on the seed, so it is fitted once and
+    shared, and the ensemble spends ``n0*m^d`` node evaluations plus each
+    replication's residual samples.  In shifted mode each replication draws
+    its own shift and each stack of replications is fitted at once, so the
+    ensemble spends R full budgets.  Stacks of key rows are bounded in
+    sample points and spread over `workers` threads.  Either way the errors,
+    in replication order, equal
     ``run(f, replace(cfg, seed=derive_seed(master_seed, i))).value - exact``
     bit for bit, for any R and any number of workers.
     """

@@ -1,5 +1,6 @@
 import csv
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +299,35 @@ def test_campaign_reads_every_declared_setting(command, tmp_path, capsys):
     settings.values["out"] = tmp_path / "out.csv"
     run(settings)
     assert settings.read == set(defaults) | {"out"}
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    """One parser serves every `main` call in a process, and a call reads
+    nothing of the calls before it: a `histogram` call with no flags writes
+    the same bytes after a call that set every flag and a call that failed
+    as it does first in a fresh parser state.  The default replication count
+    is cut to keep the test short; the parser reads only the setting names."""
+    run, defaults = cli._COMMANDS["histogram"]
+    monkeypatch.setitem(cli._COMMANDS, "histogram", (run, dict(defaults, reps=30)))
+    monkeypatch.delenv("SCV_SEED", raising=False)
+    cli._build_parser.cache_clear()
+    outputs = []
+    for name in ("fresh", "after"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        if name == "after":
+            config = tmp_path / "hist.cfg"
+            config.write_text("bins = 7\nthresholds = 0.5\n")
+            assert main(["histogram", "--config", str(config), "--out", "all.csv",
+                         "--seed", "9", "--threads", "2", "--method", "scv,strat", "--s", "3",
+                         "--m", "3", "--reps", "12", "--k", "5", "--mode", "shifted"]) == EXIT_OK
+            assert len(_read("all.csv")) == 1 + 2 * 12
+            assert main(["histogram", "--reps", "0"]) == EXIT_CONFIG
+        assert main(["histogram"]) == EXIT_OK
+        outputs.append([Path(p).read_bytes() for p in ("histogram.csv", "histogram_summary.csv")])
+    assert outputs[0] == outputs[1]
+    assert cli._build_parser.cache_info().misses == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # Expected output of four small default campaigns, recorded from the code

@@ -270,7 +270,8 @@ def test_cv_mom_median_matches_statistics_median(k):
         n = resid.size
         f = Integrand(lambda x: resid.ravel()[np.rint(x[:, 0] * 2 * n - 0.5).astype(int)], dim=1)
         cfg = EstimatorConfig(method=Method.CV_MOM, s=1, m=2, k=k)
-        fit = (estimators._regular(1, 1), np.zeros((1, 1, 2)), np.array([[-5e-324, 0.0]]))
+        integral = estimators._rounded_sums(np.array([[-5e-324, 0.0]])) / 2
+        fit = (estimators._regular(1, 1), np.zeros((2, 1)), integral)  # _fit's CV form
         u = ((np.arange(n) + 0.5) / (2 * n)).reshape(*shape, 1)
         got = estimators._whole_cube(f, cfg, fit, u)
         groups = resid.tolist()
@@ -329,6 +330,34 @@ def test_shifted_run_draws_shift_then_samples():
     at_node = f(((0.5 + rng.random(2)) / 2.0)[None])[0]
     at_sample = f(rng.random((1, 2)))[0]
     assert result.value == at_node + (at_sample - at_node)
+
+
+@pytest.mark.parametrize("method,s,d,m,k", [
+    (Method.SCV, 2, 1, 3, 11), (Method.CV, 1, 3, 1, 11), (Method.CV_MOM, 2, 3, 2, 5)])
+def test_stack_draws_are_numpys_own_streams(monkeypatch, method, s, d, m, k):
+    """In one stack, replication r's draws are, bit for bit, numpy's own
+    stream for seed r, ``Generator(Philox(SeedSequence(seed))).random``:
+    its sample block (deterministic mode), or its shift and then its block
+    (shifted mode), as `_fit` and the method body receive them.  No row
+    length here is a multiple of 4, so each row leaves doubles in the
+    reused Philox's buffer that the next re-key must drop."""
+    seeds = [0, 7, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1]  # one and two 32-bit words
+    keys = estimators._philox_keys(np.array(seeds, dtype=np.uint64))
+    seen = {}
+    body = "_whole_cube" if method in (Method.CV, Method.CV_MOM) else "_stratified"
+    monkeypatch.setattr(estimators, "_fit", lambda f, cfg, shifts: seen.update(shifts=shifts))
+    monkeypatch.setattr(estimators, body, lambda f, cfg, fit, u: seen.update(u=u) or u[:, 0, 0, 0])
+    f = Integrand(lambda x: x[:, 0], dim=d)
+    for mode, n_shift in ((DETERMINISTIC, 0), (SHIFTED, d)):
+        cfg = EstimatorConfig(method=method, s=s, m=m, k=k, interpolation_mode=mode)
+        shape = estimators._sample_shape(cfg, d)
+        assert (n_shift + math.prod(shape)) % 4
+        estimators._estimates(f, cfg, None, keys)
+        for r, seed in enumerate(seeds):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            if n_shift:
+                assert seen["shifts"][r].tobytes() == rng.random(d).tobytes(), seed
+            assert seen["u"][r].tobytes() == rng.random(shape).tobytes(), (mode, seed)
 
 
 def test_stratified_builds_no_interpolator():

@@ -19,6 +19,11 @@ checkout.  Groups:
   of a ``histogram``, shifted ``histogram``, ``tails`` and ``rates`` run.
 * ``verify``: exit code and text of ``verify --seed 3 --trials 2000``.
 
+Each campaign group, and ``verify``, runs twice in this one process, so the
+second run meets whatever state the first left (the CLI's parser is built
+once per process); the script exits 1, after printing every line, if the two
+runs' bytes differ.  The printed lines are the same either way.
+
 Compare two checkouts by diffing the outputs; a differing line names its group::
 
     PYTHONPATH=a/src python tools/bit_digest.py > a.txt
@@ -131,14 +136,26 @@ def verify_digest() -> str:
 
 
 def main() -> int:
+    differ = []
+
+    def twice(label: str, digest) -> str:
+        """`digest()`, run twice in this process; `label` is kept if the runs differ."""
+        first = digest()
+        if digest() != first:
+            differ.append(label)
+        return first
+
     for workers in (1, 2):
         digest, ran = replicate_digest(workers)
         print(f"{digest}  replicate workers={workers} ({ran} ensembles)", flush=True)
     for name, argv in CAMPAIGNS.items():
         for threads in (1, 2):
-            print(f"{campaign_digest(argv, threads)}  {name} threads={threads}", flush=True)
-    print(f"{verify_digest()}  verify", flush=True)
-    return 0
+            label = f"{name} threads={threads}"
+            print(f"{twice(label, partial(campaign_digest, argv, threads))}  {label}", flush=True)
+    print(f"{twice('verify', verify_digest)}  verify", flush=True)
+    for label in differ:
+        print(f"{label}: a second run in this process gave other bytes", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
