@@ -22,7 +22,7 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .estimators import BudgetError, EstimatorConfig, Method, Mode, _check_seed
+from .estimators import _MAX_THREADS, BudgetError, EstimatorConfig, Method, Mode, _check_seed
 from .stats import (
     derive_seed,
     fit_rate,
@@ -46,8 +46,6 @@ EXIT_VERIFY = 2
 
 _METHOD_ORDER = list(Method)
 
-# Ceiling on --threads: an ensemble starts up to that many OS threads.
-_MAX_THREADS = 256
 # Ceiling on --trials: a moment-bound check holds about 16 bytes per trial
 # and summand at once, some 2.6 GB for the 16-summand mixture at 10^7.
 _MAX_TRIALS = 10**7

@@ -21,7 +21,7 @@ reductions within a replication's rows touch them.  So an estimate has
 the same bits alone (:func:`run`) or stacked with thousands, in one tile
 of points or many, whatever the worker count.  :func:`_ensemble`, the one
 path for both, fits once (deterministic mode), hashes every key once and
-spreads bounded stacks of key rows over workers.
+cuts the key rows into stacks by their size alone.
 """
 
 from __future__ import annotations
@@ -224,9 +224,7 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     if shifts is not None:
         solver = LocalInterpolator(shifted_nodes(solver.points, shifts), cfg.s)
     values = np.empty((1 if shifts is None else len(shifts), cfg.m**f.dim, len(solver)))
-    step = max(1, _BLOCK_POINTS // (len(values) * len(solver)))
-    for c in range(0, values.shape[1], step):
-        tile = slice(c, c + step)
+    for tile in _tiles(values.shape[1], len(values) * len(solver)):
         values[:, tile] = _in_cells(f, cfg.m, solver.points[..., None, :, :], tile)
     coeffs = solver.solve(np.swapaxes(values, -1, -2))
     if cfg.method is Method.SCV:
@@ -302,9 +300,7 @@ def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
     """
     solver, coeffs, means = fit or (None, None, np.broadcast_to(0.0, (1, u.shape[1])))
     cell_terms = np.empty(u.shape[:2])
-    step = max(1, _BLOCK_POINTS // (len(u) * u.shape[2]))
-    for c in range(0, u.shape[1], step):
-        tile = slice(c, c + step)
+    for tile in _tiles(u.shape[1], len(u) * u.shape[2]):
         ut = u[:, tile]
         resid = _in_cells(f, cfg.m, ut, tile)
         if fit is not None:  # a slice of coeffs: a fresh copy would change the einsum's bits
@@ -334,32 +330,39 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
     x = u.reshape(len(u), k * n1, f.dim)
     offset = cfg.m**f.dim * (np.arange(len(u)) % len(integrals))[:, None]  # each replication's fit
     resid = np.empty(x.shape[:2])
-    step = max(1, _BLOCK_POINTS // len(u))
-    for t in range(0, k * n1, step):
-        xt = x[:, t : t + step].reshape(-1, f.dim)
+    for tile in _tiles(k * n1, len(u)):
+        xt = x[:, tile].reshape(-1, f.dim)
         rows, local = locate(xt, cfg.m)
         coeff_rows = np.take(table, (rows.reshape(len(u), -1) + offset).ravel(), axis=0)
         gx = np.einsum("ij,ij->i", solver.design_matrix(local), coeff_rows)
-        resid[:, t : t + step] = (f(xt) - gx).reshape(len(u), -1)
+        resid[:, tile] = (f(xt) - gx).reshape(len(u), -1)
     groups = np.sort(_rounded_sums(resid.reshape(len(u), k, n1)) / n1, kind="stable")
     median = groups[:, k // 2] if k % 2 else (groups[:, k // 2 - 1] + groups[:, k // 2]) / 2
     return integrals + median
 
 
-# Sample points per stack of replications, in both modes, and per tile
-# within a stack: a replication of more than 2^12 points stacks alone, and
-# one of more than 2^13 runs its fit and body in tiles of at most 2^13
-# points.  Only draws, fit values, coefficients and per-cell or per-sample
-# results grow with the replication.  At 2^13 a default `tails` ensemble's
-# traced peak is 0.9 MB (1.4 MB at 2^15), at the same time per replication.
+# Most sample points in a stack of replications, or in a tile of a fit or a
+# body (see _tiles).  Only draws, fit values, coefficients and per-cell or
+# per-sample results grow with the replication.  At 2^13 a default `tails`
+# ensemble's traced peak is 0.9 MB (1.4 MB at 2^15), at the same time per
+# replication.
 _BLOCK_POINTS = 1 << 13
 
+# Ceiling on an ensemble's workers: its pool may start that many OS threads.
+_MAX_THREADS = 256
 
-def _map(fn, items, workers: int) -> list:
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+
+def _check_thread_ceiling(workers: int) -> None:
+    """ValueError if an ensemble's integer `workers` exceed ``_MAX_THREADS``."""
+    if workers > _MAX_THREADS:
+        raise ValueError(f"need at most {_MAX_THREADS} workers, got {workers}")
+
+
+def _tiles(n: int, width: int) -> list[slice]:
+    """The one cut: consecutive slices of n items of `width` sample points
+    each, every slice of at most ``_BLOCK_POINTS`` points and at least one item."""
+    step = max(1, _BLOCK_POINTS // width)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _estimates(f: Integrand, cfg: EstimatorConfig, fit, keys: np.ndarray) -> np.ndarray:
@@ -395,19 +398,24 @@ def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np
 
     Checks the budget first, by :func:`_sample_shape` (BudgetError before
     any evaluation), the one check for both modes.  Fits once in
-    deterministic mode (STRAT gets None), hashes all the Philox keys at
-    once into one (R, 2) uint64 array, cuts its rows into stacks of at most
-    ``_BLOCK_POINTS`` sample points and ``ceil(R / workers)`` replications,
-    so that a small ensemble still spreads over its workers, and maps
-    :func:`_estimates` over the stacks on `workers` threads.
+    deterministic mode (STRAT gets None) and hashes all the Philox keys at
+    once into one (R, 2) uint64 array.  The stack rule: its rows are cut by
+    :func:`_tiles` into stacks of at most ``_BLOCK_POINTS`` sample points
+    and at least one replication, by size alone, so every worker count runs
+    the same stacks.  :func:`_estimates` runs them on the calling thread
+    when there is one stack or one worker, else on ``min(workers, stacks)``
+    threads.
     """
     points = math.prod(_sample_shape(cfg, f.dim)[:-1])
     shared = cfg.interpolation_mode is DETERMINISTIC and cfg.method is not Method.STRAT
     fit = _fit(f, cfg) if shared else None
     keys = _philox_keys(seeds)
-    per_stack = max(1, min(_BLOCK_POINTS // points, -(-len(keys) // workers)))
-    stacks = [keys[i : i + per_stack] for i in range(0, len(keys), per_stack)]
-    return np.concatenate(_map(partial(_estimates, f, cfg, fit), stacks, workers))
+    stacks = [keys[tile] for tile in _tiles(len(keys), points)]
+    estimates = partial(_estimates, f, cfg, fit)
+    if workers == 1 or len(stacks) == 1:
+        return np.concatenate([estimates(stack) for stack in stacks])
+    with ThreadPoolExecutor(max_workers=min(workers, len(stacks))) as pool:
+        return np.concatenate(list(pool.map(estimates, stacks)))
 
 
 def run(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:

@@ -10,10 +10,9 @@ An ensemble derives its replications' seeds with one :func:`derive_seed`
 call over an index array (the package's own SeedSequence hash, which
 lives beside the Philox keys in :mod:`estimators`) and hands them to
 ``estimators._ensemble``, the one ensemble path: it fits once in
-deterministic mode, hashes every seed's Philox key once, cuts the key rows
-into bounded stacks (each fitted on its own shifts in shifted mode) and
-spreads them over the workers.  Either way replication i's bits depend
-only on i, not on R or the worker count.
+deterministic mode, hashes every seed's Philox key once and cuts the key
+rows into stacks (each fitted on its own shifts in shifted mode).  Either
+way replication i's bits depend only on i, not on R or the worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 # `run` is not called here: bench/spans.py traces estimates by wrapping stats.run
-from .estimators import EstimatorConfig, _ensemble, derive_seed, run  # noqa: F401
+from .estimators import EstimatorConfig, _check_thread_ceiling, _ensemble, derive_seed, run  # noqa: F401
 from .grid import _check_sizes
 from .testbed import Integrand
 
@@ -89,15 +88,17 @@ def replicate(
     shared, and the ensemble spends ``n0*m^d`` node evaluations plus each
     replication's residual samples.  In shifted mode each replication draws
     its own shift and each stack of replications is fitted at once, so the
-    ensemble spends R full budgets.  Stacks of key rows are bounded in
-    sample points and spread over `workers` threads.  Either way the errors,
-    in replication order, equal
+    ensemble spends R full budgets.  Either way the errors, in replication
+    order, equal
     ``run(f, replace(cfg, seed=derive_seed(master_seed, i))).value - exact``
-    bit for bit, for any R and any number of workers.
+    bit for bit, whatever R and `workers` are.  `workers` is the most
+    threads the ensemble may use, at most ``estimators._MAX_THREADS``; a
+    larger value raises ValueError before any seed is derived.
     """
     if f.exact_integral is None:
         raise ValueError(f"integrand {f.label!r} has no exact integral to compare against")
     _check_sizes(R=R, workers=workers)
+    _check_thread_ceiling(workers)
     values = _ensemble(f, cfg, derive_seed(master_seed, np.arange(R)), workers)
     return ErrorSample(errors=values - f.exact_integral, config=cfg)
 

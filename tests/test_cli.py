@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scvquad import cli
+from scvquad import cli, estimators
 from scvquad.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, RAW_HEADER, SUMMARY_HEADER, main
 
 
@@ -161,10 +161,11 @@ def test_bad_configs_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["rates", "histogram", "tails"])
 def test_threads_above_ceiling_exit_one(command, capsys):
-    # rejected by the parser, so no pool is ever opened
-    assert main([command, "--threads", str(cli._MAX_THREADS + 1)]) == EXIT_CONFIG
+    # rejected by the parser, against the engine's ceiling, so no pool is ever opened
+    ceiling = estimators._MAX_THREADS
+    assert main([command, "--threads", str(ceiling + 1)]) == EXIT_CONFIG
     assert "--threads: need at most" in capsys.readouterr().err
-    assert cli._SETTINGS["threads"].parse(str(cli._MAX_THREADS)) == cli._MAX_THREADS
+    assert cli._SETTINGS["threads"].parse(str(ceiling)) == ceiling
 
 
 def test_trials_above_ceiling_exit_one(capsys):

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -140,24 +141,39 @@ def test_shifted_replicate_crosses_stacks(method):
 
 
 
-def test_small_ensemble_spreads_over_workers(monkeypatch):
-    """An ensemble smaller than one stack is cut into one stack per worker,
-    each through estimators._estimates, and keeps the per-seed bits."""
+@pytest.mark.parametrize("full", [0, 2])  # below one stack; two full stacks and a short one
+def test_stacks_are_cut_by_size_alone(monkeypatch, full):
+    """Every worker count hands estimators._estimates the same stacks; a pool
+    is built only for two or more stacks and workers, with min(workers,
+    stacks) threads; the errors keep the per-seed bits."""
     f = make_benchmark()
     cfg = EstimatorConfig(method=Method.SCV, s=2, m=4)
-    R = 10  # a stack holds 170 replications of 48 sample points
+    per_stack = estimators._BLOCK_POINTS // 48  # 48 sample points per replication
+    R = full * per_stack + 7
     expected = np.array([run(f, replace(cfg, seed=derive_seed(4, i))).value for i in range(R)])
-    stacks = []
+    stacks, pools = [], []
     estimates = estimators._estimates
 
-    def counted(f, cfg, fit, seeds):
-        stacks.append(len(seeds))
-        return estimates(f, cfg, fit, seeds)
+    def recorded(f, cfg, fit, keys):
+        stacks.append(len(keys))
+        return estimates(f, cfg, fit, keys)
 
-    monkeypatch.setattr(estimators, "_estimates", counted)
-    errors = replicate(f, cfg, R, 4, workers=3).errors
-    assert sorted(stacks) == [2, 4, 4]
-    assert errors.tobytes() == (expected - 1.0).tobytes()
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(estimators, "_estimates", recorded)
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
+    for workers in (1, 2, 3, 8):
+        stacks.clear()
+        pools.clear()
+        errors = replicate(f, cfg, R, 4, workers=workers).errors
+        assert sorted(stacks) == sorted([per_stack] * full + [7]), workers
+        threads = min(workers, full + 1)
+        assert pools == ([threads] if threads > 1 else []), workers
+        assert errors.tobytes() == (expected - 1.0).tobytes(), workers
+
 
 def _shift_rconds(cfg, d, master, R):
     """rcond of each replication's shifted node set, its shift drawn as the
@@ -219,9 +235,10 @@ def test_replicate_reproducible():
     assert np.array_equal(a.errors, b.errors)
 
 
-def test_replicate_workers_bit_identical():
+def test_replicate_workers_bit_identical(monkeypatch):
     f = make_benchmark()
     cfg = EstimatorConfig(method=Method.CV, s=2, m=3)
+    monkeypatch.setattr(estimators, "_BLOCK_POINTS", 5 * 27)  # ten stacks of 27-point replications
     base = replicate(f, cfg, 48, master_seed=7, workers=1)
     for workers in (2, 4, 8):
         other = replicate(f, cfg, 48, master_seed=7, workers=workers)
@@ -262,6 +279,26 @@ def test_replicate_workers_is_a_positive_integer(monkeypatch):
     for workers in (0, -1):
         with pytest.raises(ValueError, match="^need workers >= 1"):
             replicate(f, cfg, 3, master_seed=0, workers=workers)
+
+
+def test_replicate_workers_above_the_thread_ceiling(monkeypatch):
+    """The ceiling holds for replicate, before any seed, evaluation or thread."""
+    f, cfg = make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=2)
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+    def no_seeds(*args):
+        raise AssertionError("seeds derived for rejected workers")
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", NoPool)
+    ceiling = estimators._MAX_THREADS
+    assert replicate(make_benchmark(), cfg, 3, master_seed=0, workers=ceiling).R == 3  # no pool
+    monkeypatch.setattr(stats, "derive_seed", no_seeds)
+    with pytest.raises(ValueError, match=f"^need at most {ceiling} workers, got {ceiling + 1}"):
+        replicate(f, cfg, 3, master_seed=0, workers=ceiling + 1)
+    assert f.evals == 0
 
 
 def test_replicate_rejects_non_integral_master_seed():

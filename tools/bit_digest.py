@@ -14,7 +14,9 @@ checkout.  Groups:
   benchmark's 4-d bump at s = 3, m = 10 for scv and cv, whose sums run
   over 10^4 cells and 1.5*10^5 samples, and the 2-d test function at
   s = 2, m = 181 for scv and cv, whose 32,761 cells leave SCV's tiles of
-  2,730 cells a last tile of one cell.
+  2,730 cells a last tile of one cell.  W is 1, 2 and 3: 3 does not
+  divide R, so a stack cut that depended on the worker count would make
+  uneven stacks there, which must not change a bit.
 * ``<campaign> threads=T``: exit code, output CSV, summary CSV and stderr
   of a ``histogram``, shifted ``histogram``, ``tails`` and ``rates`` run.
 * ``verify``: exit code and text of ``verify --seed 3 --trials 2000``.
@@ -145,7 +147,7 @@ def main() -> int:
             differ.append(label)
         return first
 
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         digest, ran = replicate_digest(workers)
         print(f"{digest}  replicate workers={workers} ({ran} ensembles)", flush=True)
     for name, argv in CAMPAIGNS.items():
