@@ -23,7 +23,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .estimators import _MAX_THREADS, BudgetError, EstimatorConfig, Method, Mode, _check_seed
+from .grid import _check_sizes
 from .stats import (
+    _MAX_REPS,
+    _MAX_TRIALS,
     derive_seed,
     fit_rate,
     histogram,
@@ -46,28 +49,17 @@ EXIT_VERIFY = 2
 
 _METHOD_ORDER = list(Method)
 
-# Ceiling on --trials: a moment-bound check holds about 16 bytes per trial
-# and summand at once, some 2.6 GB for the 16-summand mixture at 10^7.
-_MAX_TRIALS = 10**7
-
 
 class ConfigError(ValueError):
     """Invalid campaign configuration."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"need an integer >= 1, got {value}")
-    return value
-
-
-def _at_most(limit: int, noun: str) -> Callable[[str], int]:
-    """Parser of a positive integer no larger than `limit`."""
+def _integer(name: str, high: int | None = None) -> Callable[[str], int]:
+    """Parser of the integer `name`, checked by ``_check_sizes`` against the
+    ceiling `high` of the module that owns the resource, if it has one."""
     def parse(text: str) -> int:
-        value = _positive_int(text)
-        if value > limit:
-            raise ValueError(f"need at most {limit} {noun}, got {value}")
+        value = int(text)
+        _check_sizes(high, **{name: value})
         return value
     return parse
 
@@ -94,6 +86,8 @@ def _deltas(text: str) -> list[float]:
     values = _floats(text)
     if not values or any(not 0.0 < dl < 1.0 for dl in values):
         raise ValueError(f"delta values must be a nonempty list in (0,1), got {text!r}")
+    if len(set(values)) < len(values):  # two ensembles at one delta make no exponent
+        raise ValueError(f"delta values must be distinct, got {text!r}")
     return values
 
 
@@ -105,7 +99,7 @@ def _thresholds(text: str) -> list[float]:
 
 
 def _grid_sizes(text: str) -> list[int]:
-    sizes = [_positive_int(tok) for tok in text.split(",") if tok.strip()]
+    sizes = [_integer("m")(tok) for tok in text.split(",") if tok.strip()]
     if not sizes:
         raise ValueError("need at least one grid size")
     return sizes
@@ -129,21 +123,20 @@ class _Setting(NamedTuple):
 # config-file keys of the settings it declares in _COMMANDS.
 _SETTINGS = {
     "seed": _Setting("--seed", "seed", _seed, "master seed (fallback: SCV_SEED env var)"),
-    "threads": _Setting("--threads", None, _at_most(_MAX_THREADS, "threads"),
-                        "replication workers"),
+    "threads": _Setting("--threads", None, _integer("threads", _MAX_THREADS), "replication workers"),
     "methods": _Setting("--method", "method", _methods, "comma-separated method names"),
-    "s": _Setting("--s", "s", _positive_int, "interpolation order"),
-    "d": _Setting(None, "d", _positive_int),
+    "s": _Setting("--s", "s", _integer("s"), "interpolation order"),
+    "d": _Setting(None, "d", _integer("d")),
     "p": _Setting(None, "p", float),
     "m_list": _Setting("--m", "m_list", _grid_sizes, "comma-separated grid sizes"),
     "m": _Setting("--m", "m_list", _grid_size, "grid size"),
-    "reps": _Setting("--reps", "R", _positive_int, "replications per configuration"),
-    "k": _Setting("--k", "k", _positive_int, "median-of-means group count"),
+    "reps": _Setting("--reps", "R", _integer("R", _MAX_REPS), "replications per configuration"),
+    "k": _Setting("--k", "k", _integer("k"), "median-of-means group count"),
     "delta_list": _Setting("--delta", "delta_list", _deltas, "comma-separated uncertainty levels"),
     "thresholds": _Setting(None, "thresholds", _thresholds),
-    "bins": _Setting(None, "bins", _positive_int),
+    "bins": _Setting(None, "bins", _integer("bins")),
     "mode": _Setting("--mode", "mode", Mode, " or ".join(m.value for m in Mode) + " nodes"),
-    "trials": _Setting("--trials", "trials", _at_most(_MAX_TRIALS, "trials"), "Monte Carlo trials"),
+    "trials": _Setting("--trials", "trials", _integer("trials", _MAX_TRIALS), "Monte Carlo trials"),
 }
 
 

@@ -352,12 +352,6 @@ _BLOCK_POINTS = 1 << 13
 _MAX_THREADS = 256
 
 
-def _check_thread_ceiling(workers: int) -> None:
-    """ValueError if an ensemble's integer `workers` exceed ``_MAX_THREADS``."""
-    if workers > _MAX_THREADS:
-        raise ValueError(f"need at most {_MAX_THREADS} workers, got {workers}")
-
-
 def _tiles(n: int, width: int) -> list[slice]:
     """The one cut: consecutive slices of n items of `width` sample points
     each, every slice of at most ``_BLOCK_POINTS`` points and at least one item."""

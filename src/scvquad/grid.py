@@ -24,13 +24,17 @@ __all__ = [
 ]
 
 
-def _check_sizes(**sizes) -> None:
-    """TypeError unless each size is an integer (a bool is not), ValueError unless it is >= 1."""
+def _check_sizes(high: int | None = None, **sizes) -> None:
+    """The one integer check: TypeError unless each size is an integer (a bool
+    is not), ValueError unless it is >= 1 and, when `high` is given, at most
+    `high`.  Each ceiling lives beside the resource it protects."""
     for name, value in sizes.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"need {name} >= 1, got {name}={value}")
+        if high is not None and value > high:
+            raise ValueError(f"need at most {high} {name}, got {value}")
 
 
 def _check_unit_cube(x: np.ndarray, what: str) -> None:

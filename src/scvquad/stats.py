@@ -13,6 +13,11 @@ lives beside the Philox keys in :mod:`estimators`) and hands them to
 deterministic mode, hashes every seed's Philox key once and cuts the key
 rows into stacks (each fitted on its own shifts in shifted mode).  Either
 way replication i's bits depend only on i, not on R or the worker count.
+
+Counts are checked by ``grid._check_sizes``.  Three have a ceiling, the
+bound of what they would exhaust, checked here before any allocation: an
+ensemble's workers (``estimators._MAX_THREADS``) and replications
+(``_MAX_REPS``), and a moment-bound check's trials (``_MAX_TRIALS``).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 # `run` is not called here: bench/spans.py traces estimates by wrapping stats.run
-from .estimators import EstimatorConfig, _check_thread_ceiling, _ensemble, derive_seed, run  # noqa: F401
+from .estimators import _MAX_THREADS, EstimatorConfig, _ensemble, derive_seed, run  # noqa: F401
 from .grid import _check_sizes
 from .testbed import Integrand
 
@@ -52,6 +57,14 @@ __all__ = [
 # rows drawn per chunk inside the verifier loops; fixed so that results do
 # not depend on available memory
 _CHUNK_ELEMENTS = 1 << 22
+
+# Ceiling on an ensemble's replications: replication i's index is one 32-bit
+# word of its seed's entropy (see derive_seed).
+_MAX_REPS = 2**32
+
+# Ceiling on a moment-bound check's trials: it holds about 16 bytes per trial
+# and summand at once, some 2.6 GB for the 16-summand mixture at 10^7.
+_MAX_TRIALS = 10**7
 
 
 @dataclass(frozen=True)
@@ -91,14 +104,15 @@ def replicate(
     ensemble spends R full budgets.  Either way the errors, in replication
     order, equal
     ``run(f, replace(cfg, seed=derive_seed(master_seed, i))).value - exact``
-    bit for bit, whatever R and `workers` are.  `workers` is the most
-    threads the ensemble may use, at most ``estimators._MAX_THREADS``; a
-    larger value raises ValueError before any seed is derived.
+    bit for bit, whatever R and `workers` are.  R is at most ``_MAX_REPS``
+    and `workers`, the most threads the ensemble may use, at most
+    ``estimators._MAX_THREADS``; a larger value raises ValueError before any
+    allocation, seed or evaluation.
     """
     if f.exact_integral is None:
         raise ValueError(f"integrand {f.label!r} has no exact integral to compare against")
-    _check_sizes(R=R, workers=workers)
-    _check_thread_ceiling(workers)
+    _check_sizes(_MAX_REPS, R=R)
+    _check_sizes(_MAX_THREADS, workers=workers)
     values = _ensemble(f, cfg, derive_seed(master_seed, np.arange(R)), workers)
     return ErrorSample(errors=values - f.exact_integral, config=cfg)
 
@@ -120,14 +134,15 @@ def prob_error(sample: ErrorSample, delta: float) -> float:
 def fit_rate(pairs) -> float:
     """Slope of the ordinary least-squares line ``log e = slope*log n + intercept``.
 
-    Two points give the exact degenerate fit; all values must be finite and positive.
+    Two points give the exact degenerate fit; all values must be finite and
+    positive, and at least two budgets must differ (so at least two pairs).
     """
-    points = tuple((float(n), float(e)) for n, e in pairs)
-    if len(points) < 2:
-        raise ValueError("need at least two (n, e) pairs")
-    arr = np.asarray(points, dtype=float)
+    arr = np.array([(float(n), float(e)) for n, e in pairs], dtype=float).reshape(-1, 2)
     if not np.all((arr > 0.0) & (arr < math.inf)):  # also rejects nan
         raise ValueError("rate fits need finite, strictly positive budgets and errors")
+    budgets = set(arr[:, 0].tolist())
+    if len(budgets) < 2:
+        raise ValueError(f"rate fits need at least two distinct budgets, got {sorted(budgets)}")
     return float(np.polyfit(np.log(arr[:, 0]), np.log(arr[:, 1]), 1)[0])
 
 
@@ -354,13 +369,14 @@ def verify_mz(q: float, dists, trials: int = 100_000, seed: int = 0, label: str 
     """Empirically check the moment bound for the mean of independent draws.
 
     `dists` is a list of bounded distributions (one per summand) providing
-    ``sample(rng, size)`` and an exact ``mean``.
+    ``sample(rng, size)`` and an exact ``mean``.  The whole sample is held
+    at once, so `trials` is at most ``_MAX_TRIALS``: ValueError before any draw.
     """
     c = mz_constant(q)  # ValueError unless q >= 1
     dists = list(dists)
     if not dists:
         raise ValueError("need at least one distribution")
-    _check_sizes(trials=trials)
+    _check_sizes(_MAX_TRIALS, trials=trials)
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     n = len(dists)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scvquad import cli, estimators
+from scvquad import cli, estimators, stats
 from scvquad.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, RAW_HEADER, SUMMARY_HEADER, main
 
 
@@ -170,9 +170,41 @@ def test_threads_above_ceiling_exit_one(command, capsys):
 
 def test_trials_above_ceiling_exit_one(capsys):
     # rejected by the parser, before any suite draws
-    assert main(["verify", "--trials", str(cli._MAX_TRIALS + 1)]) == EXIT_CONFIG
+    assert main(["verify", "--trials", str(stats._MAX_TRIALS + 1)]) == EXIT_CONFIG
     assert "--trials: need at most" in capsys.readouterr().err
-    assert cli._SETTINGS["trials"].parse(str(cli._MAX_TRIALS)) == cli._MAX_TRIALS
+    assert cli._SETTINGS["trials"].parse(str(stats._MAX_TRIALS)) == stats._MAX_TRIALS
+
+
+def test_reps_above_ceiling_exit_one(monkeypatch, capsys):
+    # rejected by the parser against the replication ceiling, before any ensemble
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran for rejected reps")
+
+    monkeypatch.setattr(cli, "replicate", no_ensemble)
+    for command in ("rates", "histogram", "tails"):
+        assert main([command, "--reps", "4294967297"]) == EXIT_CONFIG
+        assert "--reps: need at most 4294967296 R, got 4294967297" in capsys.readouterr().err
+    assert cli._SETTINGS["reps"].parse(str(stats._MAX_REPS)) == stats._MAX_REPS
+
+
+def test_integer_settings_name_the_flag_or_key(tmp_path, capsys):
+    assert main(["rates", "--reps", "0"]) == EXIT_CONFIG
+    assert "--reps: need R >= 1, got R=0" in capsys.readouterr().err
+    assert main(["rates", "--m", "2,0"]) == EXIT_CONFIG
+    assert "--m: need m >= 1, got m=0" in capsys.readouterr().err
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("bins = 0\n")
+    assert main(["histogram", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "h.cfg:1: bins: need bins >= 1, got bins=0" in capsys.readouterr().err
+
+
+def test_repeated_delta_exits_one_before_any_ensemble(monkeypatch, capsys):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran for a repeated delta")
+
+    monkeypatch.setattr(cli, "replicate", no_ensemble)
+    assert main(["tails", "--reps", "50", "--delta", "0.1,0.1"]) == EXIT_CONFIG
+    assert "--delta: delta values must be distinct" in capsys.readouterr().err
 
 
 def test_write_csv_formats_numpy_floats_as_python_floats(tmp_path):

@@ -52,6 +52,17 @@ def test_exponents_order_and_contents():
     assert exps.shape == (poly_dim(3, 2), 2)
 
 
+def test_check_sizes_bounds_each_size():
+    grid._check_sizes(3, a=1, b=np.int64(3))
+    grid._check_sizes(a=2**70)  # no ceiling without `high`
+    with pytest.raises(ValueError, match="^need at most 3 b, got 4$"):
+        grid._check_sizes(3, a=1, b=4)
+    with pytest.raises(ValueError, match="^need a >= 1, got a=0$"):
+        grid._check_sizes(3, a=0)
+    with pytest.raises(TypeError, match="^a must be an integer, got True$"):
+        grid._check_sizes(3, a=True)
+
+
 def test_subcube_index_validation():
     with pytest.raises(ValueError):
         subcube_indices(0, 2)

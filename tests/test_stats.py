@@ -301,6 +301,46 @@ def test_replicate_workers_above_the_thread_ceiling(monkeypatch):
     assert f.evals == 0
 
 
+def test_replicate_R_above_the_replication_ceiling(monkeypatch):
+    """The ceiling holds for replicate, before any index array, seed or evaluation."""
+    f, cfg = make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=2)
+    monkeypatch.setattr(stats, "_MAX_REPS", 4)
+    assert replicate(f, cfg, 4, master_seed=0).R == 4
+    f = make_benchmark()
+
+    def no_seeds(*args):
+        raise AssertionError("seeds derived for a rejected R")
+
+    monkeypatch.setattr(stats, "derive_seed", no_seeds)
+    with pytest.raises(ValueError, match="^need at most 4 R, got 5"):
+        replicate(f, cfg, 5, master_seed=0)
+    assert f.evals == 0
+
+
+def _no_draws(monkeypatch):
+    """Make every verifier distribution fail if it is sampled."""
+    def no_draw(self, rng, size):
+        raise AssertionError("drew for rejected trials")
+
+    for dist in (UniformBounded, Rademacher, Constant):
+        monkeypatch.setattr(dist, "sample", no_draw)
+
+
+def test_verify_mz_trials_above_the_ceiling(monkeypatch):
+    _no_draws(monkeypatch)
+    ceiling = stats._MAX_TRIALS
+    with pytest.raises(ValueError, match=f"^need at most {ceiling} trials, got {ceiling + 1}"):
+        verify_mz(2.0, [Rademacher(1.0), UniformBounded(0.0, 1.0)], trials=ceiling + 1)
+
+
+def test_mz_default_suite_trials_above_the_ceiling(monkeypatch):
+    monkeypatch.setattr(stats, "_MAX_TRIALS", 10)
+    assert len(mz_default_suite(trials=10)) == 20
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match="^need at most 10 trials, got 11"):
+        mz_default_suite(trials=11)
+
+
 def test_replicate_rejects_non_integral_master_seed():
     f, cfg = make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=4)
     for master in (3.7, np.float64(3.0)):
@@ -370,6 +410,8 @@ def test_fit_rate_two_points_degenerate():
 def test_fit_rate_validation():
     with pytest.raises(ValueError):
         fit_rate([(10.0, 1.0)])
+    with pytest.raises(ValueError, match="two distinct budgets"):
+        fit_rate([(10, 0.5), (10, 0.3)])
     with pytest.raises(ValueError):
         fit_rate([(10.0, 1.0), (100.0, -0.5)])
     with pytest.raises(ValueError):
