@@ -19,14 +19,16 @@ import argparse
 import os
 import sys
 from functools import cache
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .estimators import _MAX_THREADS, BudgetError, EstimatorConfig, Method, Mode, _check_seed
-from .grid import _check_sizes
+from .estimators import _MAX_THREADS, BudgetError, EstimatorConfig, Method, Mode
+from .grid import _check_probability, _check_seed, _check_sizes
 from .stats import (
     _MAX_REPS,
     _MAX_TRIALS,
+    _MIN_TRIALS,
     derive_seed,
     fit_rate,
     histogram,
@@ -50,16 +52,13 @@ EXIT_VERIFY = 2
 _METHOD_ORDER = list(Method)
 
 
-class ConfigError(ValueError):
-    """Invalid campaign configuration."""
-
-
-def _integer(name: str, high: int | None = None) -> Callable[[str], int]:
+def _integer(name: str, high: int | None = None, low: int = 1) -> Callable[[str], int]:
     """Parser of the integer `name`, checked by ``_check_sizes`` against the
-    ceiling `high` of the module that owns the resource, if it has one."""
+    bounds of the module that owns what it counts: at least `low` and, if
+    there is a ceiling `high`, at most `high`."""
     def parse(text: str) -> int:
         value = int(text)
-        _check_sizes(high, **{name: value})
+        _check_sizes(high, low, **{name: value})
         return value
     return parse
 
@@ -84,8 +83,10 @@ def _floats(text: str) -> list[float]:
 
 def _deltas(text: str) -> list[float]:
     values = _floats(text)
-    if not values or any(not 0.0 < dl < 1.0 for dl in values):
-        raise ValueError(f"delta values must be a nonempty list in (0,1), got {text!r}")
+    if not values:
+        raise ValueError("need at least one delta")
+    for delta in values:
+        _check_probability(delta=delta)
     if len(set(values)) < len(values):  # two ensembles at one delta make no exponent
         raise ValueError(f"delta values must be distinct, got {text!r}")
     return values
@@ -136,7 +137,8 @@ _SETTINGS = {
     "thresholds": _Setting(None, "thresholds", _thresholds),
     "bins": _Setting(None, "bins", _integer("bins")),
     "mode": _Setting("--mode", "mode", Mode, " or ".join(m.value for m in Mode) + " nodes"),
-    "trials": _Setting("--trials", "trials", _integer("trials", _MAX_TRIALS), "Monte Carlo trials"),
+    "trials": _Setting("--trials", "trials", _integer("trials", _MAX_TRIALS, _MIN_TRIALS),
+                       "Monte Carlo trials"),
 }
 
 
@@ -144,7 +146,7 @@ def _parsed(name: str, text: str, where: str):
     try:
         return _SETTINGS[name].parse(text.strip())
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _read_config_file(path: Path, command: str) -> dict:
@@ -155,11 +157,11 @@ def _read_config_file(path: Path, command: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
         if key not in names:
-            raise ConfigError(
+            raise ValueError(
                 f"{path}:{lineno}: {command} takes no key {key!r}; it takes {', '.join(names)}"
             )
         values[names[key]] = _parsed(names[key], raw, f"{path}:{lineno}: {key}")
@@ -182,18 +184,20 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """One line per row, fields joined by commas with `str` (a float's
-    shortest round-trip repr); no field holds a comma or a quote."""
+    """The header, then one line ``prefix,a,b`` per row ``(prefix, a, b)``
+    of the iterable `rows`, streamed.  Each field is written as `str` writes
+    it (a float as its shortest round-trip repr); none holds a comma or a quote."""
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        handle.writelines(f"{prefix},{a},{b}\n" for prefix, a, b in rows)
 
 
 def _ensembles(settings, m_list: list[int]) -> list:
     """Replication ensembles of the 2-d test function per (method, m).
 
     Skips, with a line on stderr, configurations whose budget cannot be
-    met.  Returns each ensemble's summary-row prefix with its error sample.
+    met.  Returns each ensemble's row prefix, its first five CSV fields
+    joined, with its error sample.
     """
     f = test_function_2d()
     ensembles = []
@@ -208,19 +212,15 @@ def _ensembles(settings, m_list: list[int]) -> list:
                 continue
             seed = derive_seed(settings.seed, _METHOD_ORDER.index(method), m)
             sample = replicate(f, cfg, settings.reps, seed, workers=settings.threads)
-            ensembles.append(([method.value, settings.s, f.dim, m, evals], sample))
+            ensembles.append((f"{method.value},{settings.s},{f.dim},{m},{evals}", sample))
     return ensembles
 
 
 def _write_campaign(out: Path, ensembles: list, summary_rows: list) -> None:
     """The raw rows of every ensemble to `out`, the summary rows beside it."""
     summary = out.with_name(out.stem + "_summary" + (out.suffix or ".csv"))
-    with open(out, "w", newline="") as handle:  # one f-string per raw row, `str` as in _write_csv
-        handle.write(",".join(RAW_HEADER) + "\n")
-        for base, sample in ensembles:
-            prefix = ",".join(map(str, base))
-            handle.writelines(f"{prefix},{rep},{err}\n"
-                              for rep, err in enumerate(sample.errors.tolist()))
+    _write_csv(out, RAW_HEADER, chain.from_iterable(
+        zip(repeat(prefix), count(), sample.errors.tolist()) for prefix, sample in ensembles))
     _write_csv(summary, SUMMARY_HEADER, summary_rows)
     print(f"wrote {out} and {summary}")
 
@@ -229,9 +229,9 @@ def cmd_rates(settings) -> int:
     """Replication ensembles per (method, m); raw errors plus max/quantile summaries."""
     ensembles = _ensembles(settings, settings.m_list)
     summary_rows = []
-    for base, sample in ensembles:
-        summary_rows.append(base + ["max_abs_error", float(abs(sample.errors).max())])
-        summary_rows.append(base + ["q99_error", prob_error(sample, 0.01)])
+    for prefix, sample in ensembles:
+        summary_rows.append((prefix, "max_abs_error", float(abs(sample.errors).max())))
+        summary_rows.append((prefix, "q99_error", prob_error(sample, 0.01)))
     _write_campaign(settings.out or Path("rates.csv"), ensembles, summary_rows)
     return EXIT_OK
 
@@ -240,16 +240,15 @@ def cmd_histogram(settings) -> int:
     """Signed-error distribution per method at one grid size."""
     ensembles = _ensembles(settings, [settings.m])
     summary_rows = []
-    for base, sample in ensembles:
-        summary_rows.append(base + ["mean_error", float(sample.errors.mean())])
+    for prefix, sample in ensembles:
+        summary_rows.append((prefix, "mean_error", float(sample.errors.mean())))
         for threshold in settings.thresholds:
-            summary_rows.append(
-                base + [f"tail_fraction_{threshold:g}", tail_fraction(sample, threshold)]
-            )
-        for i, (left, right, count) in enumerate(histogram(sample, settings.bins)):
-            summary_rows.append(base + [f"hist_left_{i}", left])
-            summary_rows.append(base + [f"hist_right_{i}", right])
-            summary_rows.append(base + [f"hist_count_{i}", count])
+            summary_rows.append((prefix, f"tail_fraction_{threshold:g}",
+                                 tail_fraction(sample, threshold)))
+        for i, (left, right, n) in enumerate(histogram(sample, settings.bins)):
+            summary_rows.append((prefix, f"hist_left_{i}", left))
+            summary_rows.append((prefix, f"hist_right_{i}", right))
+            summary_rows.append((prefix, f"hist_count_{i}", n))
     _write_campaign(settings.out or Path("histogram.csv"), ensembles, summary_rows)
     return EXIT_OK
 
@@ -267,7 +266,7 @@ def cmd_tails(settings) -> int:
     out = settings.out or Path("tails.csv")
     cfg = EstimatorConfig(method=Method.SCV, s=settings.s, m=settings.m,
                           interpolation_mode=settings.mode)
-    base = [Method.SCV.value, settings.s, settings.d, settings.m, cfg.budget(settings.d)]
+    prefix = f"{Method.SCV.value},{settings.s},{settings.d},{settings.m},{cfg.budget(settings.d)}"
     summary_rows = []
     max_points = []
     for i, delta in enumerate(settings.delta_list):
@@ -275,11 +274,11 @@ def cmd_tails(settings) -> int:
         sample = replicate(f, cfg, settings.reps, derive_seed(settings.seed, 3, i),
                            workers=settings.threads)
         e_max = float(abs(sample.errors).max())
-        summary_rows.append(base + [f"prob_error_delta_{delta:g}", prob_error(sample, delta)])
-        summary_rows.append(base + [f"max_abs_error_delta_{delta:g}", e_max])
+        summary_rows.append((prefix, f"prob_error_delta_{delta:g}", prob_error(sample, delta)))
+        summary_rows.append((prefix, f"max_abs_error_delta_{delta:g}", e_max))
         max_points.append((1.0 / delta, e_max))
     if len(max_points) >= 2:
-        summary_rows.append(base + ["delta_exponent_max", fit_rate(max_points)])
+        summary_rows.append((prefix, "delta_exponent_max", fit_rate(max_points)))
     _write_csv(out, SUMMARY_HEADER, summary_rows)
     print(f"wrote {out}")
     return EXIT_OK
@@ -316,10 +315,10 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as ConfigError (exit 1), not argparse's exit 2."""
+    """Reports usage errors as ValueError (exit 1), not argparse's exit 2."""
 
     def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @cache  # parse_args keeps no state in the parser: one parser per process
@@ -345,7 +344,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command][0](_settings(args))
-    except (ValueError, OSError) as exc:  # ConfigError and BudgetError included
+    except (ValueError, OSError) as exc:  # usage errors and BudgetError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,7 +27,6 @@ cuts the key rows into stacks by their size alone.
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +35,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .grid import _check_sizes, locate, poly_dim, regular_nodes, shifted_nodes, subcube_indices
+from .grid import (_check_seed, _check_sizes, locate, poly_dim, regular_nodes, shifted_nodes,
+                   subcube_indices)
 from .interp import LocalInterpolator
 from .testbed import Integrand
 
@@ -69,14 +69,6 @@ DETERMINISTIC, SHIFTED = Mode
 
 class BudgetError(ValueError):
     """Configuration cannot meet its sampling budget."""
-
-
-def _check_seed(seed) -> None:
-    """TypeError unless `seed` is an integer (a bool is not), ValueError unless in [0, 2^64)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +155,10 @@ def derive_seed(master_seed: int, *indices):
     Distinct index tuples give statistically independent streams; the same
     tuple always reproduces the same seed.  An index may be an integer
     array with entries in [0, 2^32), which gives a uint64 array of seeds.
-    The hash takes each value's 32-bit words, low first (one for 0), with
-    the master's padded with zeros to four.
+    Any other value is a non-negative integer of any size, but not a bool
+    (``grid._check_sizes`` with no ceiling).  The hash takes each value's
+    32-bit words, low first (one for 0), with the master's padded with
+    zeros to four.
     """
     words = []
     for i, value in enumerate((master_seed, *indices)):
@@ -173,9 +167,8 @@ def derive_seed(master_seed: int, *indices):
                 raise ValueError(f"index arrays need integers in [0, 2^32), got {value.dtype}")
             words.append(value.astype(np.uint64))
             continue
-        value = operator.index(value)  # TypeError for 2.7 or np.float64(2.0)
-        if value < 0:
-            raise ValueError(f"seed entropy must be non-negative, got {value}")
+        _check_sizes(low=0, **{"index" if i else "master_seed": value})
+        value = int(value)
         n_words = max(1 if i else 4, -(-value.bit_length() // 32))
         words += [(value >> 32 * j) & _MASK32 for j in range(n_words)]
     lo, hi = _seed_state(words, 2)

@@ -1,9 +1,14 @@
-"""Dimension bookkeeping on the unit cube.
+"""Dimension bookkeeping on the unit cube, and the package's input checks.
 
 Polynomial-space dimensions, monomial design matrices, the lexicographic
 index of the ``m^d`` subcube decomposition and each point's cell in it,
 and the nodes of unisolvent sets for total-degree interpolation.  Cached
 arrays returned from here are read-only and safe to share across threads.
+
+Every module, and every CLI parser, checks its inputs with the rules here,
+each written once: counts (:func:`_check_sizes`), seeds (:func:`_check_seed`),
+levels in (0, 1) such as delta (:func:`_check_probability`) and points in
+the unit cube (:func:`_check_unit_cube`).
 """
 
 from __future__ import annotations
@@ -24,17 +29,32 @@ __all__ = [
 ]
 
 
-def _check_sizes(high: int | None = None, **sizes) -> None:
+def _check_sizes(high: int | None = None, low: int = 1, **sizes) -> None:
     """The one integer check: TypeError unless each size is an integer (a bool
-    is not), ValueError unless it is >= 1 and, when `high` is given, at most
-    `high`.  Each ceiling lives beside the resource it protects."""
+    is not), ValueError unless it is at least `low` (1 by default) and, when
+    `high` is given, at most `high`.  Each bound lives beside what it protects."""
     for name, value in sizes.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"need {name} >= 1, got {name}={value}")
+        if value < low:
+            raise ValueError(f"need {name} >= {low}, got {name}={value}")
         if high is not None and value > high:
             raise ValueError(f"need at most {high} {name}, got {value}")
+
+
+def _check_seed(seed) -> None:
+    """TypeError unless `seed` is an integer (a bool is not), ValueError unless in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+
+
+def _check_probability(**values) -> None:
+    """ValueError unless each value lies strictly inside (0, 1), which nan does not."""
+    for name, value in values.items():
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"need {name} in (0,1), got {value}")
 
 
 def _check_unit_cube(x: np.ndarray, what: str) -> None:

@@ -14,9 +14,12 @@ deterministic mode, hashes every seed's Philox key once and cuts the key
 rows into stacks (each fitted on its own shifts in shifted mode).  Either
 way replication i's bits depend only on i, not on R or the worker count.
 
-Counts are checked by ``grid._check_sizes``.  Three have a ceiling, the
-bound of what they would exhaust, checked here before any allocation: an
-ensemble's workers (``estimators._MAX_THREADS``) and replications
+Inputs are checked by the rules in :mod:`grid`: counts by ``_check_sizes``,
+seeds by ``_check_seed`` and delta by ``_check_probability``.  A count is at
+least 1, except a moment-bound check's trials, at least ``_MIN_TRIALS``
+(its sample standard deviation needs two).  Three counts have a ceiling,
+the bound of what they would exhaust, checked here before any allocation:
+an ensemble's workers (``estimators._MAX_THREADS``) and replications
 (``_MAX_REPS``), and a moment-bound check's trials (``_MAX_TRIALS``).
 """
 
@@ -30,7 +33,7 @@ import numpy as np
 
 # `run` is not called here: bench/spans.py traces estimates by wrapping stats.run
 from .estimators import _MAX_THREADS, EstimatorConfig, _ensemble, derive_seed, run  # noqa: F401
-from .grid import _check_sizes
+from .grid import _check_probability, _check_seed, _check_sizes
 from .testbed import Integrand
 
 __all__ = [
@@ -65,6 +68,9 @@ _MAX_REPS = 2**32
 # Ceiling on a moment-bound check's trials: it holds about 16 bytes per trial
 # and summand at once, some 2.6 GB for the 16-summand mixture at 10^7.
 _MAX_TRIALS = 10**7
+
+# Floor on a moment-bound check's trials: its standard errors need a sample SD.
+_MIN_TRIALS = 2
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,7 @@ def prob_error(sample: ErrorSample, delta: float) -> float:
     The rank is computed in exact rational arithmetic to avoid roundoff at
     integer boundaries.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"need delta in (0,1), got {delta}")
+    _check_probability(delta=delta)
     rank = math.ceil(Fraction(sample.R) * (1 - Fraction(delta)))
     return float(np.sort(np.abs(sample.errors))[rank - 1])
 
@@ -246,8 +251,7 @@ def hoeffding_bound(p: float, b, delta: float) -> float:
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"need 1 < p < 2, got p={p}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"need delta in (0,1), got {delta}")
+    _check_probability(delta=delta)
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size < 1:
         raise ValueError("b must be a nonempty vector")
@@ -297,6 +301,7 @@ def verify_hoeffding_p(
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     _check_sizes(trials=trials)
+    _check_seed(seed)
     bound = hoeffding_bound(p, b, delta)
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -370,15 +375,15 @@ def verify_mz(q: float, dists, trials: int = 100_000, seed: int = 0, label: str 
 
     `dists` is a list of bounded distributions (one per summand) providing
     ``sample(rng, size)`` and an exact ``mean``.  The whole sample is held
-    at once, so `trials` is at most ``_MAX_TRIALS``: ValueError before any draw.
+    at once, so `trials` is at least ``_MIN_TRIALS`` and at most
+    ``_MAX_TRIALS``: ValueError before any draw.
     """
     c = mz_constant(q)  # ValueError unless q >= 1
     dists = list(dists)
     if not dists:
         raise ValueError("need at least one distribution")
-    _check_sizes(_MAX_TRIALS, trials=trials)
-    if trials < 2:
-        raise ValueError(f"need trials >= 2, got {trials}")
+    _check_sizes(_MAX_TRIALS, _MIN_TRIALS, trials=trials)
+    _check_seed(seed)
     n = len(dists)
     rng = np.random.default_rng(seed)
     z = np.column_stack([dist.sample(rng, trials) for dist in dists])

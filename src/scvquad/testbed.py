@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _check_sizes, monomial_matrix, poly_dim, total_degree_exponents
+from .grid import (_check_probability, _check_seed, _check_sizes, monomial_matrix, poly_dim,
+                   total_degree_exponents)
 from .interp import monomial_means
 
 __all__ = [
@@ -110,6 +111,7 @@ def poly_integrand(coeffs, s: int, d: int, label: str = "") -> Integrand:
 
 def random_poly(s: int, d: int, seed: int) -> Integrand:
     """Polynomial of total degree < s with iid uniform [-1,1] coefficients."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, poly_dim(s, d))
     return poly_integrand(coeffs, s, d, label=f"poly(s={s},d={d},seed={seed})")
@@ -203,17 +205,13 @@ def corner_bump(s: int, d: int, p: float, m: int, delta: float) -> Integrand:
     exactly the spike's integral).
     """
     _check_sizes(s=s, d=d, m=m)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"need delta in (0,1), got {delta}")
-    if not p >= 1.0:  # also rejects nan
-        raise ValueError(f"need p >= 1, got p={p}")
-    if not s < d / p:
+    _check_probability(delta=delta)
+    spec = BumpSpec(s=s, d=d, p=p, sigma=0.125 * delta ** (1.0 / d) / m, center=(0.125 / m,) * d)
+    if not s < d / p:  # p >= 1 is the spec's check
         raise ValueError(
             f"corner bump requires the low-smoothness regime s < d/p, "
             f"got s={s}, d/p={d / p:g}"
         )
-    sigma = 0.125 * delta ** (1.0 / d) / m
-    center = (0.125 / m,) * d
-    spike = bump(BumpSpec(s=s, d=d, p=p, sigma=sigma, center=center))
+    spike = bump(spec)
     spike.label = f"corner_bump(s={s},d={d},p={p:g},m={m},delta={delta:g})"
     return spike

@@ -207,6 +207,28 @@ def test_repeated_delta_exits_one_before_any_ensemble(monkeypatch, capsys):
     assert "--delta: delta values must be distinct" in capsys.readouterr().err
 
 
+def test_trials_below_floor_exit_one_before_any_suite(monkeypatch, capsys):
+    # rejected by the parser against the moment-bound check's floor, before any draw
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran for rejected trials")
+
+    monkeypatch.setattr(cli, "hoeffding_default_suite", no_suite)
+    monkeypatch.setattr(cli, "mz_default_suite", no_suite)
+    assert main(["verify", "--trials", "1"]) == EXIT_CONFIG
+    assert "--trials: need trials >= 2, got trials=1" in capsys.readouterr().err
+    assert cli._SETTINGS["trials"].parse(str(stats._MIN_TRIALS)) == stats._MIN_TRIALS
+
+
+@pytest.mark.parametrize("deltas", ["0.1,1.5", "0", "nan"])
+def test_delta_outside_the_unit_interval_exits_one(deltas, monkeypatch, capsys):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran for a rejected delta")
+
+    monkeypatch.setattr(cli, "replicate", no_ensemble)
+    assert main(["tails", "--reps", "50", "--delta", deltas]) == EXIT_CONFIG
+    assert "--delta: need delta in (0,1), got " in capsys.readouterr().err
+
+
 def test_write_csv_formats_numpy_floats_as_python_floats(tmp_path):
     out = tmp_path / "t.csv"
     cli._write_csv(out, ["a", "b", "c"], [["x", np.float64(0.1), np.int64(3)], ["y", 1e-17, 2]])

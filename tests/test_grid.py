@@ -63,6 +63,24 @@ def test_check_sizes_bounds_each_size():
         grid._check_sizes(3, a=True)
 
 
+def test_check_sizes_takes_a_lower_bound():
+    grid._check_sizes(3, 2, a=2, b=np.int64(3))
+    grid._check_sizes(low=0, a=0, b=2**70)
+    with pytest.raises(ValueError, match="^need a >= 2, got a=1$"):
+        grid._check_sizes(3, 2, a=1)
+    with pytest.raises(ValueError, match="^need a >= 0, got a=-1$"):
+        grid._check_sizes(low=0, a=-1)
+    with pytest.raises(TypeError, match="^a must be an integer, got False$"):
+        grid._check_sizes(low=0, a=False)
+
+
+def test_check_probability_takes_the_open_unit_interval():
+    grid._check_probability(delta=0.05, level=np.float64(1 - 1e-16))
+    for bad in (0.0, 1.0, math.nan, -0.5, 2.0):
+        with pytest.raises(ValueError, match=r"^need delta in \(0,1\), got "):
+            grid._check_probability(delta=bad)
+
+
 def test_subcube_index_validation():
     with pytest.raises(ValueError):
         subcube_indices(0, 2)

@@ -350,6 +350,56 @@ def test_replicate_rejects_non_integral_master_seed():
     assert replicate(f, cfg, 5, master_seed=np.int64(3)).errors.tobytes() == expected.tobytes()
 
 
+def _no_generators(monkeypatch):
+    """Make every numpy generator fail if it is made, so that nothing is drawn."""
+    def no_generator(*args, **kwargs):
+        raise AssertionError("made a generator for a rejected input")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+
+
+# every public entry whose `seed` keys a generator, called with that seed
+_SEED_ENTRIES = {
+    "EstimatorConfig": lambda seed: EstimatorConfig(method=Method.SCV, s=1, m=2, seed=seed),
+    "verify_hoeffding_p": lambda seed: verify_hoeffding_p(1.5, [1.0], 0.1, trials=10, seed=seed),
+    "verify_mz": lambda seed: verify_mz(2.0, [Rademacher(1.0)], trials=10, seed=seed),
+    "random_poly": lambda seed: random_poly(2, 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SEED_ENTRIES))
+def test_every_seed_is_an_unsigned_64_bit_integer(entry, monkeypatch):
+    call = _SEED_ENTRIES[entry]
+    call(2**64 - 1)
+    call(np.uint64(7))
+    _no_draws(monkeypatch)
+    _no_generators(monkeypatch)
+    with pytest.raises(TypeError, match="^seed must be an integer, got True$"):
+        call(True)
+    with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer"):
+        call(2**64)
+    with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer"):
+        call(-1)
+
+
+def test_derive_seed_rejects_bool_entropy():
+    for args in ((True,), (False, 2), (1, True), (1, 2, False)):
+        with pytest.raises(TypeError, match="must be an integer, got (True|False)$"):
+            derive_seed(*args)
+
+
+def test_replicate_and_suites_reject_a_bool_master_seed(monkeypatch):
+    f, cfg = make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=4)
+    with pytest.raises(TypeError, match="^master_seed must be an integer, got True$"):
+        replicate(f, cfg, 5, master_seed=True)
+    assert f.evals == 0
+    _no_draws(monkeypatch)
+    _no_generators(monkeypatch)
+    for suite in (hoeffding_default_suite, mz_default_suite):
+        with pytest.raises(TypeError, match="^master_seed must be an integer, got True$"):
+            suite(trials=10, master_seed=True)
+
+
 def test_prob_error_examples():
     sample = _sample(np.arange(1.0, 11.0))
     assert prob_error(sample, 0.2) == 8.0
