@@ -3,7 +3,7 @@
 Subcommands: ``rates`` (error-decay scatter over a list of grid sizes),
 ``histogram`` (signed-error distribution at one grid size), ``tails``
 (confidence-level error of SCV on shrinking corner bumps), ``verify``
-(Monte Carlo suites for the concentration inequalities).  Batch only.
+(closed-form proofs of the concentration inequalities).  Batch only.
 
 Configuration comes from, in increasing precedence: built-in per-command
 defaults, the SCV_SEED environment variable (seed only), a flat
@@ -26,9 +26,8 @@ from typing import Callable, NamedTuple
 from .estimators import _MAX_THREADS, BudgetError, EstimatorConfig, Method, Mode
 from .grid import _check_probability, _check_seed, _check_sizes
 from .stats import (
+    _MAX_BINS,
     _MAX_REPS,
-    _MAX_TRIALS,
-    _MIN_TRIALS,
     derive_seed,
     fit_rate,
     histogram,
@@ -52,13 +51,13 @@ EXIT_VERIFY = 2
 _METHOD_ORDER = list(Method)
 
 
-def _integer(name: str, high: int | None = None, low: int = 1) -> Callable[[str], int]:
-    """Parser of the integer `name`, checked by ``_check_sizes`` against the
-    bounds of the module that owns what it counts: at least `low` and, if
-    there is a ceiling `high`, at most `high`."""
+def _integer(name: str, high: int | None = None) -> Callable[[str], int]:
+    """Parser of the integer `name`, checked by ``_check_sizes``: at least 1
+    and, if the module that owns what it counts sets a ceiling `high`, at
+    most `high`."""
     def parse(text: str) -> int:
         value = int(text)
-        _check_sizes(high, low, **{name: value})
+        _check_sizes(high, **{name: value})
         return value
     return parse
 
@@ -135,10 +134,8 @@ _SETTINGS = {
     "k": _Setting("--k", "k", _integer("k"), "median-of-means group count"),
     "delta_list": _Setting("--delta", "delta_list", _deltas, "comma-separated uncertainty levels"),
     "thresholds": _Setting(None, "thresholds", _thresholds),
-    "bins": _Setting(None, "bins", _integer("bins")),
+    "bins": _Setting(None, "bins", _integer("bins", _MAX_BINS)),
     "mode": _Setting("--mode", "mode", Mode, " or ".join(m.value for m in Mode) + " nodes"),
-    "trials": _Setting("--trials", "trials", _integer("trials", _MAX_TRIALS, _MIN_TRIALS),
-                       "Monte Carlo trials"),
 }
 
 
@@ -285,9 +282,8 @@ def cmd_tails(settings) -> int:
 
 
 def cmd_verify(settings) -> int:
-    """Run both concentration-inequality suites; exit 2 on any violation."""
-    reports = (hoeffding_default_suite(settings.trials, derive_seed(settings.seed, 101))
-               + mz_default_suite(settings.trials, derive_seed(settings.seed, 102)))
+    """Prove both concentration-inequality suites; exit 2 on any bound not proved."""
+    reports = hoeffding_default_suite(derive_seed(settings.seed, 101)) + mz_default_suite()
     lines = [f"{'PASS' if r.holds else 'FAIL'} {r.label}: {r.detail}" for r in reports]
     failures = sum(not r.holds for r in reports)
     verdict = "all bounds hold" if failures == 0 else f"{failures} bound check(s) failed"
@@ -310,7 +306,7 @@ _COMMANDS = {
                                       thresholds=[2.5, 2.9], bins=50)),
     "tails": (cmd_tails, dict(seed=0, threads=1, s=1, d=2, p=1.0, m=8, reps=10_000,
                               delta_list=[0.1, 0.05, 0.02], mode=Mode.SHIFTED)),
-    "verify": (cmd_verify, dict(seed=0, trials=100_000)),
+    "verify": (cmd_verify, dict(seed=0)),
 }
 
 

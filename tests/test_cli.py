@@ -105,7 +105,7 @@ def test_tails_rejects_wrong_regime(tmp_path, capsys):
 
 def test_verify_command_passes(tmp_path):
     out = tmp_path / "verify.txt"
-    code = main(["verify", "--seed", "0", "--trials", "5000", "--out", str(out)])
+    code = main(["verify", "--seed", "0", "--out", str(out)])
     assert code == EXIT_OK
     text = out.read_text()
     assert "all bounds hold" in text
@@ -168,13 +168,6 @@ def test_threads_above_ceiling_exit_one(command, capsys):
     assert cli._SETTINGS["threads"].parse(str(ceiling)) == ceiling
 
 
-def test_trials_above_ceiling_exit_one(capsys):
-    # rejected by the parser, before any suite draws
-    assert main(["verify", "--trials", str(stats._MAX_TRIALS + 1)]) == EXIT_CONFIG
-    assert "--trials: need at most" in capsys.readouterr().err
-    assert cli._SETTINGS["trials"].parse(str(stats._MAX_TRIALS)) == stats._MAX_TRIALS
-
-
 def test_reps_above_ceiling_exit_one(monkeypatch, capsys):
     # rejected by the parser against the replication ceiling, before any ensemble
     def no_ensemble(*args, **kwargs):
@@ -185,6 +178,19 @@ def test_reps_above_ceiling_exit_one(monkeypatch, capsys):
         assert main([command, "--reps", "4294967297"]) == EXIT_CONFIG
         assert "--reps: need at most 4294967296 R, got 4294967297" in capsys.readouterr().err
     assert cli._SETTINGS["reps"].parse(str(stats._MAX_REPS)) == stats._MAX_REPS
+
+
+def test_bins_above_ceiling_exit_one(tmp_path, monkeypatch, capsys):
+    # rejected by the parser against histogram's ceiling, before any ensemble
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran for rejected bins")
+
+    monkeypatch.setattr(cli, "replicate", no_ensemble)
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(f"bins = {stats._MAX_BINS + 1}\n")
+    assert main(["histogram", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"h.cfg:1: bins: need at most {stats._MAX_BINS} bins" in capsys.readouterr().err
+    assert cli._SETTINGS["bins"].parse(str(stats._MAX_BINS)) == stats._MAX_BINS
 
 
 def test_integer_settings_name_the_flag_or_key(tmp_path, capsys):
@@ -205,18 +211,6 @@ def test_repeated_delta_exits_one_before_any_ensemble(monkeypatch, capsys):
     monkeypatch.setattr(cli, "replicate", no_ensemble)
     assert main(["tails", "--reps", "50", "--delta", "0.1,0.1"]) == EXIT_CONFIG
     assert "--delta: delta values must be distinct" in capsys.readouterr().err
-
-
-def test_trials_below_floor_exit_one_before_any_suite(monkeypatch, capsys):
-    # rejected by the parser against the moment-bound check's floor, before any draw
-    def no_suite(*args, **kwargs):
-        raise AssertionError("a suite ran for rejected trials")
-
-    monkeypatch.setattr(cli, "hoeffding_default_suite", no_suite)
-    monkeypatch.setattr(cli, "mz_default_suite", no_suite)
-    assert main(["verify", "--trials", "1"]) == EXIT_CONFIG
-    assert "--trials: need trials >= 2, got trials=1" in capsys.readouterr().err
-    assert cli._SETTINGS["trials"].parse(str(stats._MIN_TRIALS)) == stats._MIN_TRIALS
 
 
 @pytest.mark.parametrize("deltas", ["0.1,1.5", "0", "nan"])
@@ -261,8 +255,20 @@ def test_verify_exit_code_on_violation(monkeypatch, tmp_path):
 
     original = stats.hoeffding_bound
     monkeypatch.setattr(stats, "hoeffding_bound", lambda p, b, delta: 0.05 * original(p, b, delta))
-    code = main(["verify", "--trials", "2000"])
+    code = main(["verify"])
     assert code == EXIT_VERIFY
+
+
+def test_verify_is_deterministic(capsys):
+    """The text is the same bytes on every run, and the moment-bound lines,
+    whose mixtures are fixed, the same at every seed."""
+    texts = []
+    for seed in ("0", "0", "7"):
+        assert main(["verify", "--seed", seed]) == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    mz_lines = [[line for line in text.splitlines() if " mz[" in line] for text in texts]
+    assert len(mz_lines[0]) == 20 and mz_lines[0] == mz_lines[2]
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,6 +278,7 @@ def test_verify_exit_code_on_violation(monkeypatch, tmp_path):
     ["verify", "--se", "1"],  # no abbreviations: --se must not become --seed
     ["nosuch"],
     [],
+    ["verify", "--trials", "5"],  # a removed flag is unknown
 ])
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == EXIT_CONFIG  # not argparse's SystemExit(2), which is EXIT_VERIFY
@@ -302,8 +309,13 @@ def _declared(command, kind):
     return {getattr(cli._SETTINGS[name], kind) for name in cli._COMMANDS[command][1]} - {None}
 
 
+# options that were removed: every command rejects them as it rejects any other
+_RETIRED = {"flag": {"--trials"}, "key": {"trials"}}
+
+
 def _undeclared(kind):
     every = {getattr(setting, kind) for setting in cli._SETTINGS.values()} - {None}
+    every |= _RETIRED[kind]
     return [(command, option) for command in cli._COMMANDS
             for option in sorted(every - _declared(command, kind))]
 
@@ -343,8 +355,7 @@ class _Reads:
 
 
 # small enough that every campaign finishes in well under a second
-_SMALL = dict(methods=[cli.Method.SCV], m_list=[1], m=2, reps=3, delta_list=[0.2, 0.1],
-              trials=50)
+_SMALL = dict(methods=[cli.Method.SCV], m_list=[1], m=2, reps=3, delta_list=[0.2, 0.1])
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -395,7 +406,7 @@ _CAMPAIGNS = [
     (["rates", "--seed", "3", "--reps", "3", "--m", "1,4"], "rates.csv"),
     (["histogram", "--seed", "3", "--reps", "20"], "hist.csv"),
     (["tails", "--seed", "3", "--reps", "20"], "tails.csv"),
-    (["verify", "--seed", "3", "--trials", "2000"], "verify.txt"),
+    (["verify", "--seed", "3"], "verify.txt"),
 ]
 _LINE_COUNTS = {"rates.csv": 16, "rates_summary.csv": 11, "hist.csv": 61,
                 "hist_summary.csv": 460, "tails.csv": 8}
@@ -437,46 +448,46 @@ scv,1,2,8,128,delta_exponent_max,-0.49999999999999933""",
 }
 
 _VERIFY_TEXT = """\
-PASS hoeffding[0] p=1.1 delta=0.2 n=1 uniform: fail_rate=0.000000 <= delta=0.2 (bound=3.4468, trials=2000)
-PASS hoeffding[1] p=1.1 delta=0.05 n=2 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=2.87577, trials=2000)
-PASS hoeffding[2] p=1.1 delta=0.01 n=4 uniform: fail_rate=0.000000 <= delta=0.01 (bound=0.929519, trials=2000)
-PASS hoeffding[3] p=1.1 delta=0.002 n=8 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=3.40298, trials=2000)
-PASS hoeffding[4] p=1.3 delta=0.2 n=16 uniform: fail_rate=0.000000 <= delta=0.2 (bound=2.25063, trials=2000)
-PASS hoeffding[5] p=1.3 delta=0.05 n=32 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=0.318773, trials=2000)
-PASS hoeffding[6] p=1.3 delta=0.01 n=64 uniform: fail_rate=0.000000 <= delta=0.01 (bound=0.0808199, trials=2000)
-PASS hoeffding[7] p=1.3 delta=0.002 n=1 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=4.17489, trials=2000)
-PASS hoeffding[8] p=1.5 delta=0.2 n=2 uniform: fail_rate=0.000000 <= delta=0.2 (bound=3.9615, trials=2000)
-PASS hoeffding[9] p=1.5 delta=0.05 n=4 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=2.41672, trials=2000)
-PASS hoeffding[10] p=1.5 delta=0.01 n=8 uniform: fail_rate=0.000000 <= delta=0.01 (bound=0.823671, trials=2000)
-PASS hoeffding[11] p=1.5 delta=0.002 n=16 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=3.07707, trials=2000)
-PASS hoeffding[12] p=1.7 delta=0.2 n=32 uniform: fail_rate=0.000000 <= delta=0.2 (bound=1.35038, trials=2000)
-PASS hoeffding[13] p=1.7 delta=0.05 n=64 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=0.1697, trials=2000)
-PASS hoeffding[14] p=1.7 delta=0.01 n=1 uniform: fail_rate=0.000000 <= delta=0.01 (bound=7.92956, trials=2000)
-PASS hoeffding[15] p=1.7 delta=0.002 n=2 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=8.21301, trials=2000)
-PASS hoeffding[16] p=1.9 delta=0.2 n=4 uniform: fail_rate=0.000000 <= delta=0.2 (bound=3.20704, trials=2000)
-PASS hoeffding[17] p=1.9 delta=0.05 n=8 rademacher: fail_rate=0.000000 <= delta=0.05 (bound=1.40013, trials=2000)
-PASS hoeffding[18] p=1.9 delta=0.01 n=16 uniform: fail_rate=0.000000 <= delta=0.01 (bound=0.573597, trials=2000)
-PASS hoeffding[19] p=1.9 delta=0.002 n=32 rademacher: fail_rate=0.000000 <= delta=0.002 (bound=2.43814, trials=2000)
-PASS mz[0] q=1.0 iid_uniform: lhs=0.161439 <= rhs=1.99812 (+/- 0.036 at 3 sigma)
-PASS mz[1] q=1.0 mixed: lhs=0.431636 <= rhs=4.38803 (+/- 0.047 at 3 sigma)
-PASS mz[2] q=1.0 single_rademacher: lhs=1 <= rhs=4 (+/- 0 at 3 sigma)
-PASS mz[3] q=1.0 asymmetric: lhs=0.113377 <= rhs=2.50454 (+/- 0.035 at 3 sigma)
-PASS mz[4] q=1.5 iid_uniform: lhs=0.187839 <= rhs=0.859435 (+/- 0.019 at 3 sigma)
-PASS mz[5] q=1.5 mixed: lhs=0.51267 <= rhs=2.28263 (+/- 0.029 at 3 sigma)
-PASS mz[6] q=1.5 single_rademacher: lhs=1 <= rhs=3.1748 (+/- 0 at 3 sigma)
-PASS mz[7] q=1.5 asymmetric: lhs=0.133169 <= rhs=0.884334 (+/- 0.016 at 3 sigma)
-PASS mz[8] q=2.0 iid_uniform: lhs=0.20563 <= rhs=0.408739 (+/- 0.014 at 3 sigma)
-PASS mz[9] q=2.0 mixed: lhs=0.568848 <= rhs=1.19478 (+/- 0.021 at 3 sigma)
-PASS mz[10] q=2.0 single_rademacher: lhs=1 <= rhs=2 (+/- 0 at 3 sigma)
-PASS mz[11] q=2.0 asymmetric: lhs=0.143357 <= rhs=0.379852 (+/- 0.01 at 3 sigma)
-PASS mz[12] q=3.0 iid_uniform: lhs=0.235145 <= rhs=0.888685 (+/- 0.018 at 3 sigma)
-PASS mz[13] q=3.0 mixed: lhs=0.637796 <= rhs=2.40664 (+/- 0.019 at 3 sigma)
-PASS mz[14] q=3.0 single_rademacher: lhs=1 <= rhs=4 (+/- 0 at 3 sigma)
-PASS mz[15] q=3.0 asymmetric: lhs=0.170323 <= rhs=0.862442 (+/- 0.015 at 3 sigma)
-PASS mz[16] q=4.0 iid_uniform: lhs=0.259225 <= rhs=1.41758 (+/- 0.024 at 3 sigma)
-PASS mz[17] q=4.0 mixed: lhs=0.681727 <= rhs=3.62826 (+/- 0.019 at 3 sigma)
-PASS mz[18] q=4.0 single_rademacher: lhs=1 <= rhs=6 (+/- 0 at 3 sigma)
-PASS mz[19] q=4.0 asymmetric: lhs=0.190041 <= rhs=1.40022 (+/- 0.019 at 3 sigma)
+PASS hoeffding[0] p=1.1 delta=0.2 n=1: bound=3.4468 >= certificate=2
+PASS hoeffding[1] p=1.1 delta=0.05 n=2: bound=2.87577 >= certificate=1.65777
+PASS hoeffding[2] p=1.1 delta=0.01 n=4: bound=0.929519 >= certificate=0.5
+PASS hoeffding[3] p=1.1 delta=0.002 n=8: bound=3.40298 >= certificate=1.5825
+PASS hoeffding[4] p=1.3 delta=0.2 n=16: bound=2.25063 >= certificate=0.536492
+PASS hoeffding[5] p=1.3 delta=0.05 n=32: bound=0.318773 >= certificate=0.118858
+PASS hoeffding[6] p=1.3 delta=0.01 n=64: bound=0.0808199 >= certificate=0.03125
+PASS hoeffding[7] p=1.3 delta=0.002 n=1: bound=4.17489 >= certificate=1.51842
+PASS hoeffding[8] p=1.5 delta=0.2 n=2: bound=3.9615 >= certificate=1.51743
+PASS hoeffding[9] p=1.5 delta=0.05 n=4: bound=2.41672 >= certificate=0.923047
+PASS hoeffding[10] p=1.5 delta=0.01 n=8: bound=0.823671 >= certificate=0.25
+PASS hoeffding[11] p=1.5 delta=0.002 n=16: bound=3.07707 >= certificate=1.06099
+PASS hoeffding[12] p=1.7 delta=0.2 n=32: bound=1.35038 >= certificate=0.379357
+PASS hoeffding[13] p=1.7 delta=0.05 n=64: bound=0.1697 >= certificate=0.0594288
+PASS hoeffding[14] p=1.7 delta=0.01 n=1: bound=7.92956 >= certificate=2
+PASS hoeffding[15] p=1.7 delta=0.002 n=2: bound=8.21301 >= certificate=1.99102
+PASS hoeffding[16] p=1.9 delta=0.2 n=4: bound=3.20704 >= certificate=1.07298
+PASS hoeffding[17] p=1.9 delta=0.05 n=8: bound=1.40013 >= certificate=0.47464
+PASS hoeffding[18] p=1.9 delta=0.01 n=16: bound=0.573597 >= certificate=0.125
+PASS hoeffding[19] p=1.9 delta=0.002 n=32: bound=2.43814 >= certificate=0.803939
+PASS mz[0] q=1.0 iid_uniform: lhs <= 0.204124 <= rhs=2
+PASS mz[1] q=1.0 mixed: lhs <= 0.571548 <= rhs=4.4
+PASS mz[2] q=1.0 single_rademacher: lhs <= 1 <= rhs=4
+PASS mz[3] q=1.0 asymmetric: lhs <= 0.144338 <= rhs=2.5
+PASS mz[4] q=1.5 iid_uniform: lhs <= 0.204124 <= rhs=0.861774
+PASS mz[5] q=1.5 mixed: lhs <= 0.571548 <= rhs=2.28137
+PASS mz[6] q=1.5 single_rademacher: lhs <= 1 <= rhs=3.1748
+PASS mz[7] q=1.5 asymmetric: lhs <= 0.144338 <= rhs=0.882776
+PASS mz[8] q=2.0 iid_uniform: lhs <= 0.204124 <= rhs=0.408248
+PASS mz[9] q=2.0 mixed: lhs <= 0.571548 <= rhs=1.19443
+PASS mz[10] q=2.0 single_rademacher: lhs <= 1 <= rhs=2
+PASS mz[11] q=2.0 asymmetric: lhs <= 0.144338 <= rhs=0.381881
+PASS mz[12] q=3.0 iid_uniform: lhs <= 0.26522 <= rhs=0.890899
+PASS mz[13] q=3.0 mixed: lhs <= 0.683074 <= rhs=2.40582
+PASS mz[14] q=3.0 single_rademacher: lhs <= 1 <= rhs=4
+PASS mz[15] q=3.0 asymmetric: lhs <= 0.18876 <= rhs=0.862054
+PASS mz[16] q=4.0 iid_uniform: lhs <= 0.26522 <= rhs=1.41861
+PASS mz[17] q=4.0 mixed: lhs <= 0.683074 <= rhs=3.62877
+PASS mz[18] q=4.0 single_rademacher: lhs <= 1 <= rhs=6
+PASS mz[19] q=4.0 asymmetric: lhs <= 0.18876 <= rhs=1.40169
 all bounds hold
 """
 

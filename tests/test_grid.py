@@ -232,9 +232,11 @@ def test_node_stack_rejects_one_degenerate_member():
 
 
 def test_nodeset_rejects_degenerate_points():
-    pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.4, 0.4]])
-    with pytest.raises(UnisolvenceError):
-        LocalInterpolator(pts, 2)
+    repeated = [[0.2, 0.2], [0.2, 0.2], [0.4, 0.4]]
+    near = [[0.5], [0.5 + 1e-12]]  # rcond 4.0e-13: between RCOND_MIN and 1e-16
+    for pts in (repeated, near):
+        with pytest.raises(UnisolvenceError):
+            LocalInterpolator(np.array(pts), 2)
 
 
 def test_nodeset_rejects_points_outside_the_cube():

@@ -317,30 +317,6 @@ def test_replicate_R_above_the_replication_ceiling(monkeypatch):
     assert f.evals == 0
 
 
-def _no_draws(monkeypatch):
-    """Make every verifier distribution fail if it is sampled."""
-    def no_draw(self, rng, size):
-        raise AssertionError("drew for rejected trials")
-
-    for dist in (UniformBounded, Rademacher, Constant):
-        monkeypatch.setattr(dist, "sample", no_draw)
-
-
-def test_verify_mz_trials_above_the_ceiling(monkeypatch):
-    _no_draws(monkeypatch)
-    ceiling = stats._MAX_TRIALS
-    with pytest.raises(ValueError, match=f"^need at most {ceiling} trials, got {ceiling + 1}"):
-        verify_mz(2.0, [Rademacher(1.0), UniformBounded(0.0, 1.0)], trials=ceiling + 1)
-
-
-def test_mz_default_suite_trials_above_the_ceiling(monkeypatch):
-    monkeypatch.setattr(stats, "_MAX_TRIALS", 10)
-    assert len(mz_default_suite(trials=10)) == 20
-    _no_draws(monkeypatch)
-    with pytest.raises(ValueError, match="^need at most 10 trials, got 11"):
-        mz_default_suite(trials=11)
-
-
 def test_replicate_rejects_non_integral_master_seed():
     f, cfg = make_benchmark(), EstimatorConfig(method=Method.STRAT, s=1, m=4)
     for master in (3.7, np.float64(3.0)):
@@ -361,8 +337,6 @@ def _no_generators(monkeypatch):
 # every public entry whose `seed` keys a generator, called with that seed
 _SEED_ENTRIES = {
     "EstimatorConfig": lambda seed: EstimatorConfig(method=Method.SCV, s=1, m=2, seed=seed),
-    "verify_hoeffding_p": lambda seed: verify_hoeffding_p(1.5, [1.0], 0.1, trials=10, seed=seed),
-    "verify_mz": lambda seed: verify_mz(2.0, [Rademacher(1.0)], trials=10, seed=seed),
     "random_poly": lambda seed: random_poly(2, 2, seed=seed),
 }
 
@@ -372,7 +346,6 @@ def test_every_seed_is_an_unsigned_64_bit_integer(entry, monkeypatch):
     call = _SEED_ENTRIES[entry]
     call(2**64 - 1)
     call(np.uint64(7))
-    _no_draws(monkeypatch)
     _no_generators(monkeypatch)
     with pytest.raises(TypeError, match="^seed must be an integer, got True$"):
         call(True)
@@ -393,11 +366,9 @@ def test_replicate_and_suites_reject_a_bool_master_seed(monkeypatch):
     with pytest.raises(TypeError, match="^master_seed must be an integer, got True$"):
         replicate(f, cfg, 5, master_seed=True)
     assert f.evals == 0
-    _no_draws(monkeypatch)
     _no_generators(monkeypatch)
-    for suite in (hoeffding_default_suite, mz_default_suite):
-        with pytest.raises(TypeError, match="^master_seed must be an integer, got True$"):
-            suite(trials=10, master_seed=True)
+    with pytest.raises(TypeError, match="^master_seed must be an integer, got True$"):
+        hoeffding_default_suite(master_seed=True)
 
 
 def test_prob_error_examples():
@@ -482,6 +453,20 @@ def test_histogram_degenerate_and_two_sided():
     assert bins[0][0] == -1.0 and bins[-1][1] == 1.0
 
 
+def test_histogram_bins_above_the_ceiling(monkeypatch):
+    """The ceiling holds for histogram, before numpy counts a bin."""
+    sample = _sample([-1.0, 0.25, 1.0])
+    monkeypatch.setattr(stats, "_MAX_BINS", 4)
+    assert [n for _, _, n in histogram(sample, 4)] == [1, 0, 1, 1]
+
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("binned for a rejected bins")
+
+    monkeypatch.setattr(np, "histogram", no_histogram)
+    with pytest.raises(ValueError, match="^need at most 4 bins, got 5"):
+        histogram(sample, 5)
+
+
 def test_histogram_conserves_counts_and_widths():
     rng = np.random.default_rng(8)
     sample = _sample(rng.standard_normal(1000))
@@ -511,12 +496,22 @@ def test_hoeffding_bound_example():
 
 
 def test_hoeffding_zero_bounds():
-    report = verify_hoeffding_p(1.5, np.zeros(4), 0.1, trials=1000, seed=0)
+    report = verify_hoeffding_p(1.5, np.zeros(4), 0.1)
     assert report.bound == 0.0
-    assert report.empirical_fail_rate == 0.0
+    assert report.certificate == 0.0
     assert report.holds
-    # a fail rate of exactly delta meets the guarantee
-    assert replace(report, empirical_fail_rate=report.delta).holds
+    # a bound exactly at its certificate is proved; one ulp below is not
+    boundary = replace(report, bound=0.75, certificate=0.75)
+    assert boundary.holds
+    assert not replace(boundary, bound=math.nextafter(0.75, 0.0)).holds
+
+
+def test_hoeffding_certificate_examples():
+    # n=1, b=1: the range 2 is below Hoeffding's sqrt(2 log(2/delta)) for every delta < 2/e^2
+    assert verify_hoeffding_p(1.5, [1.0], 0.01).certificate == 2.0
+    # n=4, b=1: Hoeffding's term sqrt(2 log 20) * 2 / 4 is below the range 2*4/4
+    report = verify_hoeffding_p(1.5, np.ones(4), 0.1)
+    assert report.certificate == pytest.approx(math.sqrt(2.0 * math.log(20.0)) / 2.0, rel=1e-15)
 
 
 def test_hoeffding_bound_validation():
@@ -526,8 +521,6 @@ def test_hoeffding_bound_validation():
         hoeffding_bound(2.0, np.ones(2), 0.1)
     with pytest.raises(ValueError):
         hoeffding_bound(1.5, np.array([-1.0]), 0.1)
-    with pytest.raises(ValueError):
-        verify_hoeffding_p(1.5, np.ones(2), 0.1, family="gaussian")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -535,54 +528,61 @@ def test_hoeffding_bound_rejects_non_finite_bounds(bad):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         hoeffding_bound(1.5, [bad, 1.0], 0.1)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        verify_hoeffding_p(1.5, [bad, 1.0], 0.1, trials=10)
+        verify_hoeffding_p(1.5, [bad, 1.0], 0.1)
 
 
-@pytest.mark.parametrize("family", ["uniform", "rademacher"])
-def test_hoeffding_fail_rate_within_delta(family):
+def test_hoeffding_bound_proved_on_random_configs():
     rng = np.random.default_rng(2)
-    for i in range(5):
-        n = int(rng.integers(1, 40))
+    for _ in range(200):
+        n = int(rng.integers(1, 200))
         b = rng.uniform(0.1, 2.0, n)
-        delta = float(rng.uniform(0.01, 0.4))
+        delta = float(rng.uniform(0.001, 0.4))
         p = float(rng.uniform(1.05, 1.95))
-        report = verify_hoeffding_p(p, b, delta, trials=20_000, seed=100 + i, family=family)
-        assert report.empirical_fail_rate <= delta
+        report = verify_hoeffding_p(p, b, delta)
+        assert report.holds and report.bound >= 1.5 * report.certificate, (n, delta, p)
 
 
 def test_hoeffding_suite_detects_broken_bound(monkeypatch):
-    # a bound weakened by 5x must be caught by at least one default config
+    # at a third of the bound, 13 of the 20 default configs are no longer proved
     original = stats.hoeffding_bound
-    monkeypatch.setattr(stats, "hoeffding_bound", lambda p, b, delta: 0.2 * original(p, b, delta))
-    reports = hoeffding_default_suite(trials=20_000, master_seed=0)
-    assert any(not r.holds for r in reports)
+    monkeypatch.setattr(stats, "hoeffding_bound", lambda p, b, delta: original(p, b, delta) / 3.0)
+    reports = hoeffding_default_suite(master_seed=0)
+    assert sum(not r.holds for r in reports) == 13
 
 
 def test_hoeffding_default_suite_passes():
-    reports = hoeffding_default_suite(trials=20_000, master_seed=0)
+    reports = hoeffding_default_suite(master_seed=0)
     assert len(reports) == 20
     assert all(r.holds for r in reports)
 
 
 def test_mz_q2_bienayme_oracle():
     dists = [UniformBounded(-1.0, 1.0) for _ in range(16)]
-    report = verify_mz(2.0, dists, trials=100_000, seed=1)
-    # lhs^2 estimates Var(Z_1)/n = (1/3)/16
-    assert report.lhs**2 == pytest.approx((1.0 / 3.0) / 16.0, rel=0.05)
-    assert report.lhs <= report.rhs
-    # with the optimal constant 1 the bound would still hold for iid uniforms
-    assert report.lhs <= report.rhs / 2.0 + 3 * report.lhs_stderr
+    report = verify_mz(2.0, dists)
+    # lhs^2 is Var(Z_1)/n = (1/3)/16; for centered laws rhs is c_2 = 2 times lhs
+    assert report.lhs**2 == pytest.approx((1.0 / 3.0) / 16.0, rel=1e-12)
+    assert report.rhs / report.lhs == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("law,fourth", [(UniformBounded(-1.0, 1.0), 0.2), (Rademacher(1.0), 1.0)],
+                         ids=["uniform", "rademacher"])
+def test_mz_q4_closed_forms(law, fourth):
+    # one summand: lhs^4 is E X^4 (1/5 for U(-1, 1), 1 for Rademacher(1)), and
+    # rhs is c_4 = 6 times ||X||_4
+    report = verify_mz(4.0, [law])
+    assert report.lhs**4 == pytest.approx(fourth, rel=1e-12)
+    assert (report.rhs / 6.0) ** 4 == pytest.approx(fourth, rel=1e-12)
 
 
 def test_mz_degenerate_constants():
-    report = verify_mz(3.0, [Constant(0.7), Constant(-0.2)], trials=5000, seed=2)
+    report = verify_mz(3.0, [Constant(0.7), Constant(-0.2)])
     assert report.lhs == 0.0
     assert report.rhs > 0.0
     assert report.holds
-    # lhs exactly at rhs plus 3 summed stderrs holds; one ulp above does not
-    boundary = replace(report, lhs=2.0, rhs=0.5, lhs_stderr=0.25, rhs_stderr=0.25)
+    # lhs exactly at rhs holds; one ulp above does not
+    boundary = replace(report, lhs=0.5, rhs=0.5)
     assert boundary.holds
-    assert not replace(boundary, lhs=math.nextafter(2.0, 3.0)).holds
+    assert not replace(boundary, lhs=math.nextafter(0.5, 1.0)).holds
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0])
@@ -600,8 +600,8 @@ def test_mz_holds_across_q(q):
                 dists.append(Rademacher(float(rng.uniform(0.2, 2))))
             else:
                 dists.append(Constant(float(rng.uniform(-1, 1))))
-        report = verify_mz(q, dists, trials=20_000, seed=300 + i)
-        assert report.holds
+        report = verify_mz(q, dists)
+        assert report.holds and report.rhs >= 2.0 * (1.0 - 1e-12) * report.lhs, dists
 
 
 def test_mz_validation():
@@ -609,6 +609,12 @@ def test_mz_validation():
         verify_mz(0.5, [Constant(1.0)])
     with pytest.raises(ValueError):
         verify_mz(2.0, [])
+    with pytest.raises(ValueError, match="need q <= 4"):
+        verify_mz(math.nextafter(4.0, 5.0), [Constant(1.0)])
+    with pytest.raises(TypeError, match="every law must be one of"):
+        verify_mz(2.0, [Rademacher(1.0), 0.5])
+    with pytest.raises(ValueError, match="need finite low < high"):
+        UniformBounded(0.3, 0.3)
 
 
 def test_mz_constant_rejects_nan():
@@ -618,19 +624,7 @@ def test_mz_constant_rejects_nan():
 
 def test_verify_mz_rejects_nan_q():
     with pytest.raises(ValueError, match="need q >= 1"):
-        verify_mz(math.nan, [Rademacher(1.0)], trials=10)
-
-
-@pytest.mark.parametrize("bad", [True, 2.5])
-def test_verify_hoeffding_p_trials_must_be_an_integer(bad):
-    with pytest.raises(TypeError, match="trials must be an integer"):
-        verify_hoeffding_p(1.5, [1.0], 0.1, trials=bad)
-
-
-@pytest.mark.parametrize("bad", [True, 2.5])
-def test_verify_mz_trials_must_be_an_integer(bad):
-    with pytest.raises(TypeError, match="trials must be an integer"):
-        verify_mz(2.0, [Rademacher(1.0)], trials=bad)
+        verify_mz(math.nan, [Rademacher(1.0)])
 
 
 @pytest.mark.parametrize("bad", [True, 2.5])
@@ -640,10 +634,6 @@ def test_histogram_bins_must_be_an_integer(bad):
 
 
 def test_count_checks_keep_their_lower_bounds():
-    with pytest.raises(ValueError, match="need trials >= 1"):
-        verify_hoeffding_p(1.5, [1.0], 0.1, trials=0)
-    with pytest.raises(ValueError, match="need trials >= 2"):
-        verify_mz(2.0, [Rademacher(1.0)], trials=1)
     with pytest.raises(ValueError, match="need bins >= 1"):
         histogram(_sample(np.array([-1.0, 1.0])), 0)
 
@@ -663,9 +653,26 @@ def test_bounded_distributions_reject_non_finite_parameters(make):
 
 
 def test_mz_default_suite_passes():
-    reports = mz_default_suite(trials=20_000, master_seed=0)
+    reports = mz_default_suite()
     assert len(reports) == 20
     assert all(r.holds for r in reports)
+
+
+def test_suites_draw_only_the_hoeffding_b_vectors(monkeypatch):
+    """The moment-bound suite makes no generator; the Hoeffding suite makes
+    one per random b vector, every fourth of its twenty checks."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    mz_default_suite()
+    assert made == []
+    hoeffding_default_suite(master_seed=5)
+    assert made == [derive_seed(5, 7, idx) for idx in (3, 7, 11, 15, 19)]
 
 
 def test_error_sample_shape_validation():
