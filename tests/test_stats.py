@@ -542,6 +542,29 @@ def test_hoeffding_bound_proved_on_random_configs():
         assert report.holds and report.bound >= 1.5 * report.certificate, (n, delta, p)
 
 
+@pytest.mark.parametrize("family", ["uniform", "rademacher"])
+def test_hoeffding_fail_rate_within_delta(family):
+    # Monte Carlo cross-check of the closed-form proof: draw centered Z with
+    # |Z_i| <= b_i (uniform, or Rademacher +-b_i, the variance-maximizing law)
+    # and count the means that leave the bound; at most a delta share may
+    rng = np.random.default_rng(2)
+    trials = 20_000
+    for i in range(5):
+        n = int(rng.integers(1, 40))
+        b = rng.uniform(0.1, 2.0, n)
+        delta = float(rng.uniform(0.01, 0.4))
+        p = float(rng.uniform(1.05, 1.95))
+        bound = hoeffding_bound(p, b, delta)
+        draw = np.random.default_rng(100 + i)
+        if family == "uniform":
+            z = draw.uniform(-1.0, 1.0, (trials, n)) * b
+        else:
+            z = draw.choice([-1.0, 1.0], (trials, n)) * b
+        fail_rate = np.count_nonzero(np.abs(z.mean(axis=1)) > bound) / trials
+        assert fail_rate <= delta, (n, delta, p)
+        assert verify_hoeffding_p(p, b, delta).holds
+
+
 def test_hoeffding_suite_detects_broken_bound(monkeypatch):
     # at a third of the bound, 13 of the 20 default configs are no longer proved
     original = stats.hoeffding_bound
