@@ -12,11 +12,10 @@ Reproducibility contract: each estimate reads one row of draws (shift
 first, then one sample block) from a counter-based (Philox) stream keyed
 by a hash of its 64-bit seed.  Subcubes are traversed in lexicographic
 index order, and each sum over the m^d cells or over a group of samples
-is correctly rounded by :func:`_rounded_sums`, the one reduction: fsum's
-bits, from a certified vectorized sum or from ``math.fsum``.  Each method
-body takes a stack of sample blocks, one row per replication, and a stack
-of fits, one shared by all (deterministic mode) or one per replication
-(shifted mode); only elementwise operations, per-matrix solves and
+is one fixed pairwise fold, :func:`_rounded_sums`, the one reduction.  Each
+method body takes a stack of sample blocks, one row per replication, and a
+stack of fits, one shared by all (deterministic mode) or one per replication
+(shifted mode); only elementwise operations, per-matrix products and
 reductions within a replication's rows touch them.  So an estimate has
 the same bits alone (:func:`run`) or stacked with thousands, in one tile
 of points or many, whatever the worker count.  :func:`_ensemble`, the one
@@ -207,8 +206,9 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     every seed (a stack of one).  Evaluates f at the node sets mapped into
     every cell (node order within each cell), in tiles of at most
     ``_BLOCK_POINTS`` nodes, and solves each collocation system against all
-    its value columns at once: the solve and the moments product change bits
-    with their column count, so neither is tiled.  SCV gets (solver, coeffs,
+    its value columns at once, by one product with the node set's inverse:
+    that product and the moments product change bits with their column
+    count, so neither is tiled.  SCV gets (solver, coeffs,
     cell_means), coeffs of shape (R or 1, n0, m^d); CV and CV+MoM get
     (solver, table, integrals), the C-ordered (fit, cell) rows of coeffs
     and the mean of each fit's exact cell means, made once per fit.
@@ -245,40 +245,23 @@ def _sample_shape(cfg: EstimatorConfig, d: int) -> tuple[int, ...]:
 
 
 def _rounded_sums(x: np.ndarray) -> np.ndarray:
-    """The correctly rounded sum of each row of `x` along its last axis, with
-    ``math.fsum``'s bits, of shape ``x.shape[:-1]``: the one reduction.
+    """The sum of each row of `x` along its last axis, of shape ``x.shape[:-1]``:
+    the one reduction, a fixed pairwise fold.
 
-    TwoSum folds each row in halves, keeping each rounding error e, and
-    ``hi + lo`` (lo: the e summed in any order) rounds once.  A correctly
-    rounded sum is unique: this one stands where nothing was rounded or its
-    bound (gamma_(n-1) sum|e|, Higham 2002, §4.2) is under half the gap to
-    its neighbours; ``math.fsum`` takes the other rows, and stacks near overflow.
+    Each step adds the top half of a row's terms onto its bottom half (an odd
+    count keeps its middle term), elementwise across rows, so a row's bits
+    depend on that row alone, whatever the stack.  The error is at most
+    ``ceil(log2 n) * 2^-53 * sum|x|`` (Higham 2002, §4.2).  The terms start from
+    ``x + 0.0``, so a sum is never -0.0; a sum that overflows is ±inf or nan,
+    which :func:`_ensemble` rejects.
     """
     n = x.shape[-1]
-    rows = x.reshape(-1, n)
-    buf = rows.T.copy()  # (n, R): rows fold into buf[:w], the errors fill buf[w:]
-    tmp = np.empty((2, n // 2, len(rows)))
-    with np.errstate(over="ignore", invalid="ignore"):  # such stacks go to fsum
-        w = n
-        while w > 1:  # buf[:h] + buf[w-h:w] = s + e; an odd w keeps buf[h]
-            h = w // 2
-            a, b, s, c = buf[:h], buf[w - h : w], tmp[0, :h], tmp[1, :h]
-            np.add(a, b, out=s)
-            np.subtract(s, a, out=c)
-            np.subtract(b, c, out=b)
-            b += np.subtract(a, np.subtract(s, c, out=c), out=c)  # e = (b - c) + (a - (s - c))
-            a[...] = s
-            w -= h
-        hi, e, ones = buf[0], buf[1:], np.ones(n - 1)
-        lo = ones @ e
-        r = hi + lo  # lo is +0.0 for an exact row, so a zero sum is +0.0, as fsum's
-        c = r - hi
-        err = np.abs((hi - (r - c)) + (lo - c)) + ones @ np.abs(e, out=e) * (n * 2.0**-52)
-        gap = np.abs(r) - np.nextafter(np.abs(r), 0)
-    limit = 2.0**1020 / n  # below it, no partial sum of fsum's overflows
-    ok = ((err < gap / 2) | (err == 0)) & (-limit < rows.min() and rows.max() < limit)
-    r[~ok] = [math.fsum(row) for row in rows[~ok].tolist()]
-    return r.reshape(x.shape[:-1])
+    buf = np.add(x.reshape(-1, n).T, 0.0, order="C")  # (n, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n > 1:  # an odd n keeps its middle term
+            buf[: n // 2] += buf[(n + 1) // 2 : n]
+            n = (n + 1) // 2
+    return buf[0].reshape(x.shape[:-1])
 
 
 def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.ndarray:
@@ -299,7 +282,7 @@ def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
         if fit is not None:  # a slice of coeffs: a fresh copy would change the einsum's bits
             design = solver.design_matrix(ut.reshape(-1, f.dim)).reshape(*resid.shape, -1)
             resid = resid - np.einsum("rcjn,rnc->rcj", design, coeffs[:, :, tile])
-        cell_terms[:, tile] = means[:, tile] + resid.mean(axis=2)  # STRAT: 0.0 + mean, so no -0.0
+        cell_terms[:, tile] = means[:, tile] + resid.mean(axis=2)
     return _rounded_sums(cell_terms) / u.shape[1]
 
 
@@ -309,12 +292,15 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
     The interpolant is SCV's, and its integral is the mean of the exact
     cell means.  The residual f - g is sampled at iid uniform points of
     the whole cube and split in draw order into k consecutive groups of
-    ``n1 = floor(n0 * m^d / k)``; each group mean is ``fsum(group) / n1``.
+    ``n1 = floor(n0 * m^d / k)``; each group mean is the group's
+    :func:`_rounded_sums` over n1.
     With k = 1 (CV) this is classical control variates: linear, unbiased
     and exact on polynomials of total degree < s.  With k = cfg.k (CV+MoM)
     it is still exact on those polynomials, but non-linear and biased, and
     it requires ``n0 * m^d >= k``.  Its median is ``statistics.median``'s, by a
     stable sort (tied ±0 keep their order); an even k averages the central two.
+    A replication with an overflowed group sum (±inf, or nan, which would
+    sort last) gets nan, so the median never hides it.
     The samples go in tiles of at most ``_BLOCK_POINTS`` points of the stack;
     only the residuals outlive a tile.
     """
@@ -331,7 +317,7 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
         resid[:, tile] = (f(xt) - gx).reshape(len(u), -1)
     groups = np.sort(_rounded_sums(resid.reshape(len(u), k, n1)) / n1, kind="stable")
     median = groups[:, k // 2] if k % 2 else (groups[:, k // 2 - 1] + groups[:, k // 2]) / 2
-    return integrals + median
+    return np.where(np.isfinite(groups).all(axis=1), integrals + median, np.nan)  # see _ensemble
 
 
 # Most sample points in a stack of replications, or in a tile of a fit or a
@@ -391,7 +377,7 @@ def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np
     and at least one replication, by size alone, so every worker count runs
     the same stacks.  :func:`_estimates` runs them on the calling thread
     when there is one stack or one worker, else on ``min(workers, stacks)``
-    threads.
+    threads.  ValueError if an estimate is not finite (a sum overflowed).
     """
     points = math.prod(_sample_shape(cfg, f.dim)[:-1])
     shared = cfg.interpolation_mode is DETERMINISTIC and cfg.method is not Method.STRAT
@@ -400,9 +386,13 @@ def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np
     stacks = [keys[tile] for tile in _tiles(len(keys), points)]
     estimates = partial(_estimates, f, cfg, fit)
     if workers == 1 or len(stacks) == 1:
-        return np.concatenate([estimates(stack) for stack in stacks])
-    with ThreadPoolExecutor(max_workers=min(workers, len(stacks))) as pool:
-        return np.concatenate(list(pool.map(estimates, stacks)))
+        values = np.concatenate([estimates(stack) for stack in stacks])
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(stacks))) as pool:
+            values = np.concatenate(list(pool.map(estimates, stacks)))
+    if not np.isfinite(values).all():
+        raise ValueError(f"{cfg.method.value} at s={cfg.s}, m={cfg.m} gave a non-finite estimate")
+    return values
 
 
 def run(f: Integrand, cfg: EstimatorConfig) -> EstimateRun:

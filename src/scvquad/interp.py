@@ -2,12 +2,14 @@
 
 A :class:`LocalInterpolator` is one unisolvent node set together with
 everything a cell's interpolation needs: the monomial collocation matrix,
-the exact cell moments and a batched solve.  Interpolation in the monomial
-basis supplies the control variates; their means over the cell are exact
-term-by-term moments, which is the reason for staying in the monomial
-basis at desk scale (s <= 4, d <= 4) where its conditioning is acceptable.
-Conditioning is checked once, when the interpolator is built, so one only
-exists for node sets whose collocation matrix is well conditioned.
+its inverse, the exact cell moments and a batched solve.  Interpolation in
+the monomial basis supplies the control variates; their means over the
+cell are exact term-by-term moments, which is the reason for staying in
+the monomial basis at desk scale (s <= 4, d <= 4) where its conditioning
+is acceptable.
+Conditioning is checked, and the inverse formed, once, when the interpolator
+is built, so one only exists for node sets whose collocation matrix is well
+conditioned.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ class LocalInterpolator:
     its shape.  Each read-only collocation `matrix` must have a reciprocal
     condition estimate `rcond` of at least ``RCOND_MIN``, otherwise
     :class:`UnisolvenceError` is raised rather than letting later solves
-    produce garbage.  A batch of value vectors (one column per subcube)
-    resolves into coefficient vectors with a single pivoted solve per node
-    set, and the mean of an interpolant over its cell is ``moments @ coeffs``.
+    produce garbage.  Its read-only `inverse` is formed then, one per node
+    set, so a batch of value vectors (one column per subcube) resolves into
+    coefficient vectors by one product, ``inverse @ values``, and the mean of
+    an interpolant over its cell is ``moments @ coeffs``.
     """
 
     def __init__(self, points: np.ndarray, s: int):
@@ -71,6 +74,7 @@ class LocalInterpolator:
                 f"reciprocal condition estimate {rcond.min():.3e} < {RCOND_MIN:.0e}"
             )
         self.matrix = _readonly(matrix)
+        self.inverse = _readonly(np.linalg.inv(matrix))
         self.rcond = rcond if rcond.ndim else float(rcond)
         self.moments = monomial_means(self.exponents)
 
@@ -82,12 +86,13 @@ class LocalInterpolator:
 
         `values` is either a vector of length n0 (for one node set) or an
         (..., n0, batch) stack; the result has the same shape, rows aligned
-        with the exponent order.
+        with the exponent order.  Each is ``inverse @ values``: one product,
+        whose bits do not depend on the other node sets of a stack.
         """
         values = np.asarray(values, dtype=float)
         if values.shape[-2 if values.ndim > 1 else 0] != len(self):
             raise ValueError(f"expected {len(self)} node values, got shape {values.shape}")
-        return np.linalg.solve(self.matrix, values)
+        return self.inverse @ values
 
     def design_matrix(self, points_local: np.ndarray) -> np.ndarray:
         """Monomial values at local points, shape (n, n0)."""

@@ -188,9 +188,17 @@ class UniformBounded:
             raise ValueError(f"need finite low < high, got [{self.low}, {self.high}]")
 
     def norm(self, q: float) -> float:
-        """``(E|Z|^q)^(1/q)``, from the antiderivative ``x|x|^q/(q+1)`` of ``|x|^q``."""
-        lo, hi = self.low, self.high
-        return ((hi * abs(hi) ** q - lo * abs(lo) ** q) / ((q + 1.0) * (hi - lo))) ** (1.0 / q)
+        """``(E|Z|^q)^(1/q)``, from the antiderivative ``x|x|^q/(q+1)`` of ``|x|^q``.
+
+        Where low and high share a sign, the two ends' terms would cancel, so
+        with b the end farther from zero and w = high - low the moment is
+        ``b^(q+1) * (1 - (1 - w/b)^(q+1)) / ((q+1) w)``, through ``expm1``
+        and ``log1p``."""
+        lo, hi, q1 = self.low, self.high, q + 1.0
+        if lo > 0.0 or hi < 0.0:
+            b = max(hi, -lo)
+            return (b**q1 * -math.expm1(q1 * math.log1p((lo - hi) / b)) / (q1 * (hi - lo))) ** (1.0 / q)
+        return ((hi * abs(hi) ** q - lo * abs(lo) ** q) / (q1 * (hi - lo))) ** (1.0 / q)
 
     @property
     def cumulants(self) -> tuple[float, float]:

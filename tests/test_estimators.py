@@ -172,8 +172,22 @@ def test_cv_mom_at_s1_matches_an_independent_oracle(m, k):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         x = rng.random((k * n1, 2))
         resid = f(x) - f((np.minimum(np.floor(x * m), m - 1) + 0.5) / m)
-        median = statistics.median(math.fsum(g) / n1 for g in resid.reshape(k, n1).tolist())
-        assert value == math.fsum(f(centres)) / m**2 + median
+        median = statistics.median(_fold(g) / n1 for g in resid.reshape(k, n1).tolist())
+        assert value == _fold(f(centres).tolist()) / m**2 + median
+
+
+def _fold(row) -> float:
+    """The scalar reference of `_rounded_sums`: a plain loop over Python
+    floats that adds the top half of the terms onto the bottom half (an odd
+    count keeps its middle term) until one is left, from ``+0.0 + x``."""
+    buf = [0.0 + v for v in row]
+    w = len(buf)
+    while w > 1:
+        h = w // 2
+        for i in range(h):
+            buf[i] += buf[w - h + i]
+        w -= h
+    return buf[0]
 
 
 def _bits(x):
@@ -191,7 +205,7 @@ def _row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(-1000, 1001, n) * 5e-324
     if kind == "zeros":
         return rng.choice([0.0, -0.0], n)
-    if kind == "negative_zeros":  # fsum gives +0.0
+    if kind == "negative_zeros":  # sums to +0.0
         return np.full(n, -0.0)
     if kind == "near_overflow":  # sums that overflow in some orders and not in others
         return rng.choice([1.0, -1.0], n) * rng.uniform(0.25, 1.0, n) * np.finfo(float).max
@@ -199,31 +213,51 @@ def _row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice([1.0, -1.0, 2.0**-53, -(2.0**-53), 3.0 * 2.0**-53], n)
 
 
+_SUM_KINDS = ["spread", "cancel", "subnormal", "zeros", "negative_zeros", "ties", "near_overflow"]
+_SUM_LENGTHS = st.one_of(st.integers(1, 70), st.integers(1, 70_000), st.just(70_000))
+
+
 @settings(derandomize=True, deadline=None, max_examples=120)
-@given(
-    kind=st.sampled_from(
-        ["spread", "cancel", "subnormal", "zeros", "negative_zeros", "ties", "near_overflow"]),
-    n=st.one_of(st.integers(1, 70), st.integers(1, 70_000), st.just(70_000)),
-    rows=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(kind="near_overflow", n=4, rows=1, seed=1)  # fsum overflows where pairs (0, 2), (1, 3) cancel
-@example(kind="near_overflow", n=4, rows=2, seed=8)  # no overflow: the value must match
-def test_rounded_sums_match_fsum_bit_for_bit(kind, n, rows, seed):
-    """`_rounded_sums(x) / n` is `math.fsum(row) / n` for every row along
-    the last axis, with shape x.shape[:-1]; where fsum raises OverflowError
-    on a row, `_rounded_sums` raises it too."""
+@given(kind=st.sampled_from(_SUM_KINDS), n=_SUM_LENGTHS, rows=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="near_overflow", n=4, rows=1, seed=1)  # fsum overflows; the fold's pairs (0, 2), (1, 3) cancel
+@example(kind="near_overflow", n=4, rows=2, seed=8)
+def test_rounded_sums_equal_the_scalar_fold_alone_or_stacked(kind, n, rows, seed):
+    """`_rounded_sums(x)` has shape x.shape[:-1] and, bit for bit, the scalar
+    fold of each row along the last axis, overflow to ±inf or nan included;
+    each row summed alone has the bits it has inside the stack."""
     rng = np.random.default_rng(seed)
     x = np.stack([_row(kind, n, rng) for _ in range(rows)]).reshape(rows, 1, n)
-    try:
-        expected = [[math.fsum(row) / n] for row in x[:, 0].tolist()]
-    except OverflowError as exc:
-        with pytest.raises(OverflowError, match=str(exc)):
-            estimators._rounded_sums(x)
-        return
     sums = estimators._rounded_sums(x)
     assert sums.shape == (rows, 1)
-    assert _bits(sums / n) == _bits(expected)
+    assert _bits(sums) == _bits([[_fold(row)] for row in x[:, 0].tolist()])
+    for r in range(rows):
+        assert _bits(estimators._rounded_sums(x[r])) == _bits(sums[r])
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(kind=st.sampled_from(_SUM_KINDS), n=_SUM_LENGTHS, rows=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="near_overflow", n=4, rows=2, seed=8)  # sum|x| overflows and the sums do not
+def test_rounded_sums_within_the_pairwise_bound_of_fsum(kind, n, rows, seed):
+    """|fold - fsum| <= ceil(log2 n) * 2^-53 * sum|x| for every row where
+    ``math.fsum`` does not overflow (Higham 2002, §4.2: a fold of depth
+    ceil(log2 n) rounds each term at most that many times), unless a partial
+    sum overflowed, which needs sum|x| above the largest double.  The bound's
+    terms are scaled by 2^-53 first, so it never overflows."""
+    rng = np.random.default_rng(seed)
+    x = np.stack([_row(kind, n, rng) for _ in range(rows)])
+    for row, got in zip(x.tolist(), estimators._rounded_sums(x).tolist()):
+        try:
+            exact = math.fsum(row)
+        except OverflowError:
+            continue
+        if math.isfinite(got):
+            bound = math.ceil(math.log2(n)) * math.fsum(abs(v) * 2.0**-53 for v in row)
+            assert abs(got - exact) <= bound
+        else:
+            with pytest.raises(OverflowError):
+                math.fsum(map(abs, row))
 
 
 _NORMAL_SHAPES = [(1, 1), (8, 1024), (2, 10_001), (1, 196_608)]
@@ -233,20 +267,17 @@ _SHAPES = [(3, 2), (170, 16), (1870, 4)] + _NORMAL_SHAPES
 @pytest.mark.parametrize("kind,rows,n", [("zeros", *shape) for shape in _SHAPES]
                          + [("negative_zeros", *shape) for shape in _SHAPES]
                          + [("normal", *shape) for shape in _NORMAL_SHAPES])
-def test_rounded_sums_certify_benign_rows_without_fsum(monkeypatch, kind, rows, n):
-    """All-zero rows, all -0.0 rows and rows of normal data of length 1 or
-    of 1,024 and more are certified by the vectorized path: `math.fsum`, the
-    fall-back, is never called.  (Short rows of same-scale values often sum
-    to an exact tie, which the error bound cannot certify: about 21 % of
-    standard normal rows of length 2 and 5 % of length 16 go to fsum.)"""
+def test_rounded_sums_certify_benign_rows_without_fsum(kind, rows, n):
+    """All-zero rows, all -0.0 rows and rows of normal data, in stacks of the
+    estimators' shapes, sum to the scalar fold's bits; a row of zeros of
+    either sign sums to +0.0."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal((rows, n)) if kind == "normal" else _row(kind, rows * n, rng)
     x = x.reshape(rows, n)
-    expected = [math.fsum(row) for row in x.tolist()]
-    calls = []
-    monkeypatch.setattr(math, "fsum", lambda row: calls.append(row) or 0.0)
-    assert _bits(estimators._rounded_sums(x)) == _bits(expected)
-    assert not calls
+    sums = estimators._rounded_sums(x)
+    assert _bits(sums) == _bits([_fold(row) for row in x.tolist()])
+    if kind != "normal":
+        assert _bits(sums) == _bits(np.zeros(rows))
 
 
 # group sums of +-5e-324 over n1 > 1 round to signed zeros, which tie
@@ -256,7 +287,7 @@ _TIES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1.5, 1e300]
 @pytest.mark.parametrize("k", range(1, 13))
 def test_cv_mom_median_matches_statistics_median(k):
     """`_whole_cube` with a zero interpolant returns the integral of its cell
-    means plus ``statistics.median`` of the k group means ``fsum(g) / n1``,
+    means plus ``statistics.median`` of the k group means ``_fold(g) / n1``,
     bit for bit, ties and signed zeros included, for 256 replications at
     once.  The integral of the cell means is -5e-324 / 2 = -0.0, so the
     median's own bits show.  Residual i sits at its own point
@@ -275,7 +306,7 @@ def test_cv_mom_median_matches_statistics_median(k):
         u = ((np.arange(n) + 0.5) / (2 * n)).reshape(*shape, 1)
         got = estimators._whole_cube(f, cfg, fit, u)
         groups = resid.tolist()
-        expected = [-0.0 + statistics.median(math.fsum(g) / n1 for g in rep) for rep in groups]
+        expected = [-0.0 + statistics.median(_fold(g) / n1 for g in rep) for rep in groups]
         assert _bits(got) == _bits(expected), f"n1={n1}"
 
 
@@ -298,6 +329,49 @@ def test_ensembles_import_neither_statistics_nor_numpy_ma():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("method", list(Method))
+def test_overflowing_sums_fail_loudly(method, mode):
+    """Finite integrand values near the largest double whose cell sum
+    overflows give a ValueError naming the method, s and m, from `run` and
+    from `replicate`, never an inf or nan estimate."""
+    f = _constant(0.75 * np.finfo(float).max, 1)
+    cfg = EstimatorConfig(method=method, s=1, m=2, k=2, interpolation_mode=mode)
+    match = f"{method.value} at s=1, m=2 gave a non-finite estimate"
+    with pytest.raises(ValueError, match=match):
+        run(f, cfg)
+    with pytest.raises(ValueError, match=match):
+        replicate(f, cfg, 5000, master_seed=1, workers=2)  # two stacks
+
+
+def test_cv_mom_rejects_an_overflowed_group():
+    """A CV+MoM group whose sum overflows (±inf, or nan where +inf and -inf
+    partial sums meet) makes the estimate fail, though the median of the
+    other groups is finite.  At s = 1 every node is a cell centre, where f
+    is 0, so the residual is f at the stream's first k * n1 points; f is
+    ±0.9 * the largest double on the outer quarters of each cell."""
+    big = 0.9 * np.finfo(float).max
+    m, k = 16, 3
+    n1 = m // k
+
+    def spikes(x):
+        frac = x[:, 0] * m - np.floor(x[:, 0] * m)
+        return np.where(frac < 0.25, big, np.where(frac > 0.75, -big, 0.0))
+
+    seen = set()
+    for seed in range(300):
+        x = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((k * n1, 1))
+        sums = [_fold(g) for g in spikes(x).reshape(k, n1).tolist()]
+        cfg = EstimatorConfig(method=Method.CV_MOM, s=1, m=m, k=k, seed=seed)
+        if all(map(math.isfinite, sums)):
+            assert math.isfinite(run(Integrand(spikes, dim=1), cfg).value)
+            continue
+        seen.update("nan" if math.isnan(v) else "inf" for v in sums if not math.isfinite(v))
+        with pytest.raises(ValueError, match="cv_mom at s=1, m=16 gave a non-finite estimate"):
+            run(Integrand(spikes, dim=1), cfg)
+    assert seen == {"nan", "inf"}
+
+
 def test_stratified_constant_exact():
     f = _constant(2.5, 2)
     for seed in (0, 7, 123):
@@ -318,7 +392,7 @@ def test_stratified_draws_one_point_per_cell_in_cell_order():
     f = make_benchmark()
     result = run(f, EstimatorConfig(method=Method.STRAT, s=3, m=3, seed=8))
     u = np.random.Generator(np.random.Philox(np.random.SeedSequence(8))).random((9, 2))
-    assert result.value == math.fsum(f((u + subcube_indices(3, 2)) / 3)) / 9
+    assert result.value == _fold(f((u + subcube_indices(3, 2)) / 3).tolist()) / 9
 
 
 def test_shifted_run_draws_shift_then_samples():

@@ -141,3 +141,44 @@ def test_monomial_means_values():
     means = monomial_means(total_degree_exponents(3, 2))
     # order: 1, x1, x2, x1^2, x1 x2, x2^2
     assert np.allclose(means, [1.0, 0.5, 0.5, 1 / 3, 0.25, 1 / 3], atol=1e-15)
+
+
+def _node_sets(s, d):
+    """The regular node set and a stack of five shifted ones, at one (s, d)."""
+    shifts = np.random.default_rng(10 * s + d).random((5, d))
+    return [regular_nodes(s, d), shifted_nodes(regular_nodes(s, d), shifts)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_solve_agrees_with_a_pivoted_solve(s, d):
+    """Each coefficient column of ``inverse @ values`` lies within
+    ``4 * n0 * eps / rcond`` times its norm of ``np.linalg.solve``'s.
+
+    The constant, fixed before any run: both ways are backward stable with a
+    normwise backward error of about n0*eps (Higham 2002, §9.3 and §14.1, at
+    unit growth), so each lies within n0*eps*cond of the exact solution from
+    its factorization and within as much again from its substitutions or its
+    product, to first order; two solutions, each 2*n0*eps*cond away, give 4."""
+    rng = np.random.default_rng(s * 10 + d)
+    for points in _node_sets(s, d):
+        solver = LocalInterpolator(points, s)
+        n0 = len(solver)
+        values = rng.standard_normal((*solver.points.shape[:-2], n0, 50))
+        reference = np.linalg.solve(solver.matrix, values)
+        error = np.linalg.norm(solver.solve(values) - reference, axis=-2)
+        bound = 4 * n0 * np.finfo(float).eps / np.asarray(solver.rcond)[..., None]
+        assert np.all(error <= bound * np.linalg.norm(reference, axis=-2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_solve_recovers_random_polynomials(s, d):
+    """Values of a random polynomial of total degree < s at the nodes give
+    back its coefficients to 1e-10, on regular and shifted node sets."""
+    rng = np.random.default_rng(s * 10 + d)
+    for points in _node_sets(s, d):
+        solver = LocalInterpolator(points, s)
+        coeffs = rng.uniform(-1, 1, (*solver.points.shape[:-2], len(solver), 3))
+        values = solver.matrix @ coeffs
+        assert np.abs(solver.solve(values) - coeffs).max() < 1e-10

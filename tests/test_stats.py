@@ -2,6 +2,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -595,6 +596,19 @@ def test_mz_q4_closed_forms(law, fourth):
     report = verify_mz(4.0, [law])
     assert report.lhs**4 == pytest.approx(fourth, rel=1e-12)
     assert (report.rhs / 6.0) ** 4 == pytest.approx(fourth, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("low,high", [(1.0, 1.0 + 1e-8), (-1.0 - 1e-8, -1.0)],
+                         ids=["positive", "negative"])
+def test_uniform_norm_on_narrow_intervals(low, high, q):
+    # away from zero the two ends' antiderivatives nearly cancel; against
+    # mpmath at 50 digits, to 1e-15 relative
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(low), mpmath.mpf(high)
+        moment = (hi * abs(hi) ** q - lo * abs(lo) ** q) / ((q + 1) * (hi - lo))
+        exact = float(moment ** (1 / mpmath.mpf(q)))
+    assert UniformBounded(low, high).norm(q) == pytest.approx(exact, rel=1e-15, abs=0)
 
 
 def test_mz_degenerate_constants():

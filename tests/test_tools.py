@@ -1,5 +1,12 @@
 import importlib.util
+import itertools
 from pathlib import Path
+
+import numpy as np
+
+from scvquad.estimators import EstimatorConfig, Method
+from scvquad.stats import replicate
+from scvquad.testbed import test_function_2d as make_benchmark
 
 _SPEC = importlib.util.spec_from_file_location(
     "src_lines", Path(__file__).resolve().parent.parent / "tools" / "src_lines.py")
@@ -37,3 +44,33 @@ def test_src_lines_prints_each_module_and_the_total(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "lines", "code"], ["snippet", "16", "6"],
                     ["snippet", "16", "6"], ["total", "32", "12"]]
+
+
+def _load_bit_digest():
+    spec = importlib.util.spec_from_file_location(
+        "bit_digest", Path(__file__).resolve().parent.parent / "tools" / "bit_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bit_digest_dumps_each_replicate_groups_errors(monkeypatch, tmp_path, capsys):
+    """`--dump DIR` saves one row of errors per ensemble for each worker
+    count, NaN where an ensemble raised; here on two ensembles of the sweep
+    and one whose budget fails, with the campaigns and `verify` left out."""
+    bit_digest = _load_bit_digest()
+    sweep = list(itertools.islice(bit_digest.ensembles(), 2))
+    over_budget = EstimatorConfig(method=Method.CV_MOM, s=1, m=1, k=2)
+    sweep.append(("over budget", make_benchmark, over_budget))
+    monkeypatch.setattr(bit_digest, "ensembles", lambda: iter(sweep))
+    monkeypatch.setattr(bit_digest, "CAMPAIGNS", {})
+    monkeypatch.setattr(bit_digest, "verify_digest", lambda: "")
+    assert bit_digest.main(["--dump", str(tmp_path / "dump")]) == 0
+    assert "(2 ensembles)" in capsys.readouterr().out
+    expected = [replicate(make(), cfg, bit_digest.R, bit_digest.MASTER_SEED).errors
+                for _, make, cfg in sweep[:2]]
+    for workers in (1, 2, 3):
+        dumped = np.load(tmp_path / "dump" / f"replicate-workers-{workers}.npy")
+        assert dumped.shape == (3, bit_digest.R)
+        assert dumped[:2].tobytes() == np.array(expected).tobytes()
+        assert np.isnan(dumped[2]).all()

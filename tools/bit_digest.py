@@ -31,10 +31,18 @@ Compare two checkouts by diffing the outputs; a differing line names its group::
     PYTHONPATH=a/src python tools/bit_digest.py > a.txt
     PYTHONPATH=b/src python tools/bit_digest.py > b.txt
     diff a.txt b.txt
+
+With ``--dump DIR`` each ``replicate workers=W`` group also saves its errors
+as ``DIR/replicate-workers-W.npy``: one row of R per ensemble of the sweep,
+in sweep order, NaN where the ensemble raised.  Two dumps give the size of a
+deliberate last-ulp change::
+
+    python -c "import numpy as np; a, b = (np.load(f'{x}/replicate-workers-1.npy') for x in 'ab'); print(np.nanmax(abs(a - b)))"
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -100,18 +108,23 @@ def ensembles():
         yield f"test-function m=181 {method.value}", test_function_2d, cfg
 
 
-def replicate_digest(workers: int) -> tuple[str, int]:
-    """Digest of the sweep at `workers` threads, and the number of ensembles that ran."""
-    digest, ran = hashlib.sha256(), 0
+def replicate_digest(workers: int, dump: Path | None = None) -> tuple[str, int]:
+    """Digest of the sweep at `workers` threads, and the number of ensembles
+    that ran; with `dump`, the errors are saved there too (see ``--dump``)."""
+    digest, ran, rows = hashlib.sha256(), 0, []
     for label, make, cfg in ensembles():
         digest.update(label.encode() + b"\n")
         try:
             errors = replicate(make(), cfg, R, MASTER_SEED, workers=workers).errors
         except ValueError as exc:  # BudgetError included
             digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+            rows.append(np.full(R, np.nan))
             continue
         digest.update(errors.tobytes())
+        rows.append(errors)
         ran += 1
+    if dump is not None:
+        np.save(dump / f"replicate-workers-{workers}.npy", np.array(rows).reshape(-1, R))
     return digest.hexdigest(), ran
 
 
@@ -137,7 +150,13 @@ def verify_digest() -> str:
     return hashlib.sha256(f"exit {code}\n{text.getvalue()}".encode()).hexdigest()
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Digest scvquad's outputs, one line per group.")
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also save each replicate group's errors as DIR/*.npy")
+    dump = parser.parse_args(argv).dump
+    if dump is not None:
+        dump.mkdir(parents=True, exist_ok=True)
     differ = []
 
     def twice(label: str, digest) -> str:
@@ -148,12 +167,12 @@ def main() -> int:
         return first
 
     for workers in (1, 2, 3):
-        digest, ran = replicate_digest(workers)
+        digest, ran = replicate_digest(workers, dump)
         print(f"{digest}  replicate workers={workers} ({ran} ensembles)", flush=True)
-    for name, argv in CAMPAIGNS.items():
+    for name, campaign in CAMPAIGNS.items():
         for threads in (1, 2):
             label = f"{name} threads={threads}"
-            print(f"{twice(label, partial(campaign_digest, argv, threads))}  {label}", flush=True)
+            print(f"{twice(label, partial(campaign_digest, campaign, threads))}  {label}", flush=True)
     print(f"{twice('verify', verify_digest)}  verify", flush=True)
     for label in differ:
         print(f"{label}: a second run in this process gave other bytes", file=sys.stderr)
