@@ -11,8 +11,11 @@ the whole cube; CV+MoM replaces the residual mean by a median of group means.
 Reproducibility contract: each estimate reads one row of draws (shift
 first, then one sample block) from a counter-based (Philox) stream keyed
 by a hash of its 64-bit seed.  Subcubes are traversed in lexicographic
-index order, and each sum over the m^d cells or over a group of samples
-is one fixed pairwise fold, :func:`_rounded_sums`, the one reduction.  Each
+index order, and each sum over samples (those of an SCV cell or of a CV
+or CV+MoM group) or over the m^d cells is one fixed pairwise fold,
+:func:`_rounded_sums`, the one reduction in this module: none of these
+sums is left to numpy's unspecified order.  Each fit is one (solver, coeffs, means) for every
+method, its coefficients C-ordered rows, one per (fit, cell).  Each
 method body takes a stack of sample blocks, one row per replication, and a
 stack of fits, one shared by all (deterministic mode) or one per replication
 (shifted mode); only elementwise operations, per-matrix products and
@@ -206,12 +209,11 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     every seed (a stack of one).  Evaluates f at the node sets mapped into
     every cell (node order within each cell), in tiles of at most
     ``_BLOCK_POINTS`` nodes, and solves each collocation system against all
-    its value columns at once, by one product with the node set's inverse:
-    that product and the moments product change bits with their column
-    count, so neither is tiled.  SCV gets (solver, coeffs,
-    cell_means), coeffs of shape (R or 1, n0, m^d); CV and CV+MoM get
-    (solver, table, integrals), the C-ordered (fit, cell) rows of coeffs
-    and the mean of each fit's exact cell means, made once per fit.
+    its value rows at once, by one product with the node set's inverse:
+    that product and the moments product change bits with their row count,
+    so neither is tiled.  Every method gets (solver, coeffs, means): coeffs
+    C-ordered of shape (R or 1, m^d, n0), one row per (fit, cell), and
+    means = coeffs @ moments, each cell's exact interpolant mean.
     """
     solver = _regular(cfg.s, f.dim)
     if shifts is not None:
@@ -219,11 +221,8 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     values = np.empty((1 if shifts is None else len(shifts), cfg.m**f.dim, len(solver)))
     for tile in _tiles(values.shape[1], len(values) * len(solver)):
         values[:, tile] = _in_cells(f, cfg.m, solver.points[..., None, :, :], tile)
-    coeffs = solver.solve(np.swapaxes(values, -1, -2))
-    if cfg.method is Method.SCV:
-        return solver, coeffs, solver.moments @ coeffs
-    table = np.ascontiguousarray(np.swapaxes(coeffs, 1, 2)).reshape(-1, len(solver))
-    return solver, table, _rounded_sums(solver.moments @ coeffs) / cfg.m**f.dim
+    coeffs = solver.solve(values)
+    return solver, coeffs, coeffs @ solver.moments
 
 
 def _sample_shape(cfg: EstimatorConfig, d: int) -> tuple[int, ...]:
@@ -271,26 +270,27 @@ def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
     X_i^(j) of `u` uniform on cell i: n0 of them for SCV, whose g_i is the
     cell's interpolant with exact mean a_i (exact on polynomials of total
     degree < s, linear and unbiased), and one for STRAT, with g = 0.  The
-    cells go in tiles of at most ``_BLOCK_POINTS`` points of the stack; only
-    the cell terms outlive a tile, and they are summed once.
+    cells go in tiles of at most ``_BLOCK_POINTS`` points of the stack, each
+    reading its slice ``coeffs[:, tile]`` of the fit; only the cell terms
+    ``a_i + fold(resid_i) / n0`` outlive a tile, and they are folded once.
     """
     solver, coeffs, means = fit or (None, None, np.broadcast_to(0.0, (1, u.shape[1])))
     cell_terms = np.empty(u.shape[:2])
     for tile in _tiles(u.shape[1], len(u) * u.shape[2]):
         ut = u[:, tile]
         resid = _in_cells(f, cfg.m, ut, tile)
-        if fit is not None:  # a slice of coeffs: a fresh copy would change the einsum's bits
+        if fit is not None:
             design = solver.design_matrix(ut.reshape(-1, f.dim)).reshape(*resid.shape, -1)
-            resid = resid - np.einsum("rcjn,rnc->rcj", design, coeffs[:, :, tile])
-        cell_terms[:, tile] = means[:, tile] + resid.mean(axis=2)
+            resid = resid - np.einsum("rcjn,rcn->rcj", design, coeffs[:, tile])
+        cell_terms[:, tile] = means[:, tile] + _rounded_sums(resid) / u.shape[2]
     return _rounded_sums(cell_terms) / u.shape[1]
 
 
 def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.ndarray:
     """Interpolant's integral plus the median of k whole-cube residual group means.
 
-    The interpolant is SCV's, and its integral is the mean of the exact
-    cell means.  The residual f - g is sampled at iid uniform points of
+    The interpolant is SCV's, and its integral is the fold of the exact
+    cell means over m^d.  The residual f - g is sampled at iid uniform points of
     the whole cube and split in draw order into k consecutive groups of
     ``n1 = floor(n0 * m^d / k)``; each group mean is the group's
     :func:`_rounded_sums` over n1.
@@ -302,12 +302,15 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
     A replication with an overflowed group sum (±inf, or nan, which would
     sort last) gets nan, so the median never hides it.
     The samples go in tiles of at most ``_BLOCK_POINTS`` points of the stack;
-    only the residuals outlive a tile.
+    each sample's coefficient row is gathered from the fit's (fit, cell) rows
+    in place, and only the residuals outlive a tile.
     """
-    solver, table, integrals = fit
+    solver, coeffs, means = fit
     k, n1 = u.shape[1:3]
     x = u.reshape(len(u), k * n1, f.dim)
-    offset = cfg.m**f.dim * (np.arange(len(u)) % len(integrals))[:, None]  # each replication's fit
+    table = coeffs.reshape(-1, len(solver))  # a view: coeffs is C-ordered
+    offset = cfg.m**f.dim * (np.arange(len(u)) % len(coeffs))[:, None]  # each replication's fit
+    integrals = _rounded_sums(means) / cfg.m**f.dim
     resid = np.empty(x.shape[:2])
     for tile in _tiles(k * n1, len(u)):
         xt = x[:, tile].reshape(-1, f.dim)

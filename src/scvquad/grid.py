@@ -104,11 +104,6 @@ def total_degree_exponents(s: int, d: int) -> np.ndarray:
     return _exponent_array(s, d)
 
 
-# Rows per block of a design-matrix build: a block of columns stays in
-# cache while each of its monomials is multiplied out of an earlier one.
-_BLOCK_ROWS = 4096
-
-
 @lru_cache(maxsize=64)
 def _multiply_plan(d: int, data: bytes) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """How to build each monomial column from an earlier one.
@@ -147,7 +142,8 @@ def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     earlier column times one coordinate, one multiply per monomial, so every
     nonzero exponent row must have its parent (itself less one in its last
     nonzero coordinate) in an earlier row, as :func:`total_degree_exponents`
-    orders them; otherwise ValueError.
+    orders them; otherwise ValueError.  The columns are built whole, with no
+    row blocks: the estimators' tiles keep every call at 2^13 rows or fewer.
     """
     exponents = np.asarray(exponents)
     points = np.asarray(points, dtype=float)
@@ -167,11 +163,8 @@ def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     # estimates by 10-16 %; basic indexing did not
     for r in ones:
         out[:, r] = 1.0
-    for start in range(0, len(out), _BLOCK_ROWS):
-        block = out[start : start + _BLOCK_ROWS]
-        x = points[start : start + _BLOCK_ROWS]
-        for r, parent, j in steps:
-            np.multiply(block[:, parent], x[:, j], out=block[:, r])
+    for r, parent, j in steps:
+        np.multiply(out[:, parent], points[:, j], out=out[:, r])
     return out
 
 

@@ -50,9 +50,9 @@ class LocalInterpolator:
     condition estimate `rcond` of at least ``RCOND_MIN``, otherwise
     :class:`UnisolvenceError` is raised rather than letting later solves
     produce garbage.  Its read-only `inverse` is formed then, one per node
-    set, so a batch of value vectors (one column per subcube) resolves into
-    coefficient vectors by one product, ``inverse @ values``, and the mean of
-    an interpolant over its cell is ``moments @ coeffs``.
+    set, so a batch of value vectors (one row per subcube) resolves into
+    coefficient rows by one product, ``values @ inverse.T``, and the mean of
+    an interpolant over its cell is ``coeffs @ moments``.
     """
 
     def __init__(self, points: np.ndarray, s: int):
@@ -85,14 +85,15 @@ class LocalInterpolator:
         """Coefficients of the interpolants matching `values` at the nodes.
 
         `values` is either a vector of length n0 (for one node set) or an
-        (..., n0, batch) stack; the result has the same shape, rows aligned
-        with the exponent order.  Each is ``inverse @ values``: one product,
-        whose bits do not depend on the other node sets of a stack.
+        (..., batch, n0) stack of rows, one per subcube; the result has the
+        same shape, each row's entries in the exponent order.  It is
+        ``values @ swapaxes(inverse)``: one product, whose bits do not depend
+        on the other node sets of a stack.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape[-2 if values.ndim > 1 else 0] != len(self):
+        if values.shape[-1] != len(self):
             raise ValueError(f"expected {len(self)} node values, got shape {values.shape}")
-        return self.inverse @ values
+        return values @ np.swapaxes(self.inverse, -1, -2)
 
     def design_matrix(self, points_local: np.ndarray) -> np.ndarray:
         """Monomial values at local points, shape (n, n0)."""

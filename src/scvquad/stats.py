@@ -26,7 +26,7 @@ histogram's bins (``_MAX_BINS``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -249,12 +249,26 @@ _LAWS = (UniformBounded, Rademacher, Constant)
 # p-norm Hoeffding verifier
 
 
+def _downscaled(values) -> tuple[np.ndarray, int]:
+    """(`values` times 2^-e, e), with 2^e the power of two at or above every
+    |value|; e = 0 when all are 0, and when one is nan or inf, which every
+    caller rejects.  Each closed form below is homogeneous of degree one in
+    its inputs, so it is computed on the scaled values, where no power of a
+    term can overflow, and its numbers are scaled back by ``math.ldexp``,
+    exactly: any finite input gives its numbers, and one beyond the largest
+    double raises OverflowError instead of reading inf."""
+    e = math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
+    return np.ldexp(values, -e), e
+
+
 def hoeffding_bound(p: float, b, delta: float) -> float:
     """Deviation bound ``3/n * (2 log(2/delta))^(1-1/p) * ||b||_p``.
 
     Valid for the mean of n independent variables with |Z_i| <= b_i and
     1 < p < 2; the mean then stays within this bound of its expectation
     with probability at least 1 - delta.
+
+    It is computed on b scaled by :func:`_downscaled`.
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"need 1 < p < 2, got p={p}")
@@ -264,8 +278,9 @@ def hoeffding_bound(p: float, b, delta: float) -> float:
         raise ValueError("b must be a nonempty vector")
     if not np.all((b >= 0.0) & (b < math.inf)):  # also rejects nan
         raise ValueError("bounds b must be finite and nonnegative")
+    b, e = _downscaled(b)
     norm_p = float(np.sum(b**p) ** (1.0 / p))
-    return 3.0 / b.size * (2.0 * math.log(2.0 / delta)) ** (1.0 - 1.0 / p) * norm_p
+    return math.ldexp(3.0 / b.size * (2.0 * math.log(2.0 / delta)) ** (1.0 - 1.0 / p) * norm_p, e)
 
 
 @dataclass(frozen=True)
@@ -297,13 +312,14 @@ def verify_hoeffding_p(p: float, b, delta: float, label: str = "") -> HoeffdingR
     the range of the mean, and Hoeffding's inequality (J. Amer. Statist.
     Assoc. 58, 1963), ``P(|mean - E mean| >= t) <= 2 exp(-(nt)^2 / (2||b||_2^2))``.
     A bound below the certificate fails: it is not proved, which need not
-    mean that some law violates it.  No draws.
+    mean that some law violates it.  No draws; the bound and the
+    certificate are computed on one scaling of b by :func:`_downscaled`.
     """
+    b, e = _downscaled(np.asarray(b, dtype=float))
     bound = hoeffding_bound(p, b, delta)  # checks p, b and delta
-    b = np.asarray(b, dtype=float)
     hoeffding = math.sqrt(2.0 * math.log(2.0 / delta)) * float(np.linalg.norm(b))
     certificate = min(2.0 * float(b.sum()), hoeffding) / b.size
-    return HoeffdingReport(bound=bound, certificate=certificate, label=label)
+    return HoeffdingReport(math.ldexp(bound, e), math.ldexp(certificate, e), label)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +363,11 @@ def verify_mz(q: float, dists, label: str = "") -> MZReport:
     :class:`Constant` per summand.  By Lyapunov's inequality the left side
     is at most the L_2 norm ``sqrt(K2)/n`` for q <= 2 and the L_4 norm
     ``(K4 + 3 K2^2)^(1/4)/n`` above, from the summed second and fourth
-    cumulants K2 and K4.  No draws.
+    cumulants K2 and K4.  No draws.  Both sides are computed on the laws'
+    parameters, all scaled by one :func:`_downscaled` exponent.  A uniform
+    whose width vanishes at that scale (both ends some 2^1022 times below
+    the largest parameter) is read as the point it scales to, a
+    :class:`Constant`: that is all it adds there.
     """
     c = mz_constant(q)  # ValueError unless q >= 1
     if q > 4.0:
@@ -357,12 +377,16 @@ def verify_mz(q: float, dists, label: str = "") -> MZReport:
         raise ValueError("need at least one distribution")
     if not all(isinstance(law, _LAWS) for law in dists):
         raise TypeError(f"every law must be one of {', '.join(law.__name__ for law in _LAWS)}")
+    e = _downscaled([v for law in dists for v in astuple(law)])[1]
+    scaled = [(type(law), [math.ldexp(v, -e) for v in astuple(law)]) for law in dists]
+    dists = [Constant(v[0]) if law is UniformBounded and v[0] == v[1] else law(*v)
+             for law, v in scaled]
     n = len(dists)
     qp = min(2.0, q)
     rhs = c / n * math.fsum(law.norm(q) ** qp for law in dists) ** (1.0 / qp)
     k2, k4 = map(math.fsum, zip(*(law.cumulants for law in dists)))
     lhs = (math.sqrt(k2) if q <= 2.0 else (k4 + 3.0 * k2**2) ** 0.25) / n
-    return MZReport(lhs=lhs, rhs=rhs, label=label)
+    return MZReport(lhs=math.ldexp(lhs, e), rhs=math.ldexp(rhs, e), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +408,8 @@ def hoeffding_default_suite(master_seed: int = 0) -> list[HoeffdingReport]:
             idx = i * len(deltas) + j
             n = sizes[idx % len(sizes)]
             shape = idx % 4
-            if shape == 0:
-                b = np.ones(n)
-            elif shape == 1:
-                b = 0.7 ** np.arange(n)
-            elif shape == 2:
-                b = np.zeros(n)
-                b[0] = 1.0
+            if shape < 3:  # b_i = r^i: flat (r = 1), geometric (0.7) or one spike (0)
+                b = (1.0, 0.7, 0.0)[shape] ** np.arange(n)
             else:
                 b = np.random.default_rng(derive_seed(master_seed, 7, idx)).uniform(0.1, 2.0, n)
             label = f"hoeffding[{idx}] p={p} delta={delta} n={n}"

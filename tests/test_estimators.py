@@ -301,8 +301,8 @@ def test_cv_mom_median_matches_statistics_median(k):
         n = resid.size
         f = Integrand(lambda x: resid.ravel()[np.rint(x[:, 0] * 2 * n - 0.5).astype(int)], dim=1)
         cfg = EstimatorConfig(method=Method.CV_MOM, s=1, m=2, k=k)
-        integral = estimators._rounded_sums(np.array([[-5e-324, 0.0]])) / 2
-        fit = (estimators._regular(1, 1), np.zeros((2, 1)), integral)  # _fit's CV form
+        means = np.array([[-5e-324, 0.0]])  # their fold over the 2 cells is -0.0
+        fit = (estimators._regular(1, 1), np.zeros((1, 2, 1)), means)  # _fit's form
         u = ((np.arange(n) + 0.5) / (2 * n)).reshape(*shape, 1)
         got = estimators._whole_cube(f, cfg, fit, u)
         groups = resid.tolist()
@@ -327,6 +327,44 @@ def test_ensembles_import_neither_statistics_nor_numpy_ma():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _reverse_fold(x: np.ndarray) -> np.ndarray:
+    """Each row's sum along the last axis, adding its terms one at a time from
+    the last: another order than `_rounded_sums`, and still one row at a time."""
+    total = x[..., -1] + 0.0
+    for j in range(x.shape[-1] - 2, -1, -1):
+        total = total + x[..., j]
+    return total
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("method", list(Method))
+def test_every_engine_sum_goes_through_the_one_fold(monkeypatch, method, mode):
+    """`run` folds each sum over samples or cells by `_rounded_sums`: over the
+    samples of a cell (n0 for SCV, one for STRAT) or of a group (n1 for CV and
+    CV+MoM), and over the m^d cells (SCV's and STRAT's cell terms, and the
+    interpolant's integral for CV and CV+MoM).  With a fold that adds in
+    another order swapped in, every method's values change bits at s = 2 and
+    m >= 2.  The module holds no other reduction."""
+    f, m, k = make_benchmark(), 4, 3
+    cfg = EstimatorConfig(method=method, s=2, m=m, k=k, interpolation_mode=mode)
+    lengths = []
+    fold = estimators._rounded_sums
+    monkeypatch.setattr(estimators, "_rounded_sums", lambda x: lengths.append(x.shape[-1]) or fold(x))
+    run(f, cfg)
+    n0, cells = poly_dim(2, 2), m**2
+    samples = {Method.SCV: n0, Method.STRAT: 1, Method.CV: n0 * cells,
+               Method.CV_MOM: n0 * cells // k}[method]
+    assert sorted(set(lengths)) == sorted({samples, cells})
+    for size in (2, 3, 4):
+        cfg = EstimatorConfig(method=method, s=2, m=size, k=k, interpolation_mode=mode)
+        monkeypatch.setattr(estimators, "_rounded_sums", fold)
+        values = estimators._ensemble(f, cfg, np.arange(16))
+        monkeypatch.setattr(estimators, "_rounded_sums", _reverse_fold)
+        assert (estimators._ensemble(f, cfg, np.arange(16)) != values).any(), size
+    source = Path(estimators.__file__).read_text()
+    assert ".mean(" not in source and ".sum(" not in source
 
 
 @pytest.mark.parametrize("mode", list(Mode))

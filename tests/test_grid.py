@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scvquad import grid
+from scvquad.estimators import _BLOCK_POINTS
 from scvquad.grid import (
     locate,
     monomial_matrix,
@@ -214,7 +215,8 @@ def test_shifted_node_stack_matches_one_at_a_time():
     rng = np.random.default_rng(5)
     base, shifts = regular_nodes(3, 2), rng.random((7, 2))
     stack = LocalInterpolator(shifted_nodes(base, shifts), 3)
-    values = rng.standard_normal((7, len(stack), 4))
+    # 4 C-ordered rows per node set, as the estimators lay them out
+    values = np.ascontiguousarray(np.swapaxes(rng.standard_normal((7, len(stack), 4)), 1, 2))
     coeffs = stack.solve(values)
     assert stack.points.shape == (7, 6, 2) and stack.rcond.shape == (7,)
     for r, shift in enumerate(shifts):
@@ -269,11 +271,11 @@ def test_monomial_matrix_matches_power_table(s, d):
     Bitwise at s <= 2, where every factor is 1 or one coordinate; within
     4 ulp above (2 measured), because x^a is built by a - 1 rounded
     multiplies instead of one pow and the factors combine in another order.
-    More rows than one build block, with coordinates of exactly 0 and 1.
+    More rows than one estimator tile, with coordinates of exactly 0 and 1.
     """
     rng = np.random.default_rng(10 * s + d)
     exps = total_degree_exponents(s, d)
-    pts = rng.random((grid._BLOCK_ROWS + 101, d))
+    pts = rng.random((_BLOCK_POINTS + 101, d))
     pts[rng.random(pts.shape) < 0.05] = 0.0
     pts[rng.random(pts.shape) < 0.05] = 1.0
     got = monomial_matrix(pts, exps)

@@ -101,10 +101,10 @@ def test_residual_vanishes_at_own_nodes():
     offsets = subcube_indices(m, 2).astype(float)
     x = ((solver.points[None, :, :] + offsets[:, None, :]) / m).reshape(-1, 2)
     fx = f(x)
-    coeffs = solver.solve(fx.reshape(m * m, -1).T)
+    coeffs = solver.solve(fx.reshape(m * m, -1))  # one row per cell
     rows, local = locate(x, m)
     assert np.array_equal(rows, np.repeat(np.arange(m * m), len(solver)))
-    gx = np.einsum("ij,ji->i", solver.design_matrix(local), coeffs[:, rows])
+    gx = np.einsum("ij,ij->i", solver.design_matrix(local), coeffs[rows])
     assert np.allclose(gx, fx, rtol=1e-10, atol=0)
 
 
@@ -119,10 +119,10 @@ def test_max_residual_shrinks_with_m():
         offsets = subcube_indices(m, 2).astype(float)
         node_pts = (solver.points[None, :, :] + offsets[:, None, :]) / m
         values = f(node_pts.reshape(-1, 2)).reshape(m * m, -1)
-        coeffs = solver.solve(values.T)
+        coeffs = solver.solve(values)  # one row per cell
         sample_pts = (probe[None, :, :] + offsets[:, None, :]) / m
         fx = f(sample_pts.reshape(-1, 2)).reshape(m * m, -1)
-        gx = np.einsum("pn,nc->cp", solver.design_matrix(probe), coeffs)
+        gx = np.einsum("pn,cn->cp", solver.design_matrix(probe), coeffs)
         worst.append(float(np.abs(fx - gx).max()))
     assert worst[0] > worst[1] > worst[2] > worst[3]
 
@@ -152,7 +152,7 @@ def _node_sets(s, d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_solve_agrees_with_a_pivoted_solve(s, d):
-    """Each coefficient column of ``inverse @ values`` lies within
+    """Each coefficient row of ``values @ swapaxes(inverse)`` lies within
     ``4 * n0 * eps / rcond`` times its norm of ``np.linalg.solve``'s.
 
     The constant, fixed before any run: both ways are backward stable with a
@@ -164,11 +164,11 @@ def test_solve_agrees_with_a_pivoted_solve(s, d):
     for points in _node_sets(s, d):
         solver = LocalInterpolator(points, s)
         n0 = len(solver)
-        values = rng.standard_normal((*solver.points.shape[:-2], n0, 50))
-        reference = np.linalg.solve(solver.matrix, values)
-        error = np.linalg.norm(solver.solve(values) - reference, axis=-2)
+        columns = rng.standard_normal((*solver.points.shape[:-2], n0, 50))
+        reference = np.swapaxes(np.linalg.solve(solver.matrix, columns), -1, -2)
+        error = np.linalg.norm(solver.solve(np.swapaxes(columns, -1, -2)) - reference, axis=-1)
         bound = 4 * n0 * np.finfo(float).eps / np.asarray(solver.rcond)[..., None]
-        assert np.all(error <= bound * np.linalg.norm(reference, axis=-2))
+        assert np.all(error <= bound * np.linalg.norm(reference, axis=-1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -180,5 +180,5 @@ def test_solve_recovers_random_polynomials(s, d):
     for points in _node_sets(s, d):
         solver = LocalInterpolator(points, s)
         coeffs = rng.uniform(-1, 1, (*solver.points.shape[:-2], len(solver), 3))
-        values = solver.matrix @ coeffs
-        assert np.abs(solver.solve(values) - coeffs).max() < 1e-10
+        values = np.swapaxes(solver.matrix @ coeffs, -1, -2)  # one row per polynomial
+        assert np.abs(solver.solve(values) - np.swapaxes(coeffs, -1, -2)).max() < 1e-10

@@ -1,6 +1,6 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import mpmath
 import numpy as np
@@ -489,6 +489,11 @@ def test_tail_fraction_basics():
         tail_fraction(sample, math.nan)
 
 
+def test_tail_fraction_counts_errors_strictly_above():
+    # an error at the threshold is not in the tail
+    assert tail_fraction(_sample([1.0, -2.0, 0.5, 3.0]), 2.0) == 0.25
+
+
 def test_hoeffding_bound_example():
     # n=1, p=1.5, delta = 2 e^-2: bound = 3 * (2*2)^(1/3) = 3 * 4^(1/3)
     bound = hoeffding_bound(1.5, np.array([1.0]), 2.0 * math.exp(-2.0))
@@ -652,6 +657,59 @@ def test_mz_validation():
         verify_mz(2.0, [Rademacher(1.0), 0.5])
     with pytest.raises(ValueError, match="need finite low < high"):
         UniformBounded(0.3, 0.3)
+
+
+def test_closed_forms_take_large_finite_inputs():
+    """Large finite inputs give their numbers, with no overflow warning
+    (warnings are errors); only a number beyond the largest double raises."""
+    bound = 3.0 * (2.0 * math.log(20.0)) ** (1.0 / 3.0) * 1e300  # n = 1, p = 1.5, about 5.4e300
+    assert hoeffding_bound(1.5, [1e300], 0.1) == pytest.approx(bound, rel=1e-14)
+    report = verify_hoeffding_p(1.5, [1e300], 0.1)
+    assert report.bound == pytest.approx(bound, rel=1e-14)
+    assert report.certificate == 2e300 and report.holds  # the range, below sqrt(2 log 20) * 1e300
+    # one U(-a, a): lhs^4 = E X^4 = a^4/5, and rhs = c_4 ||X||_4 = 6 a / 5^(1/4)
+    report = verify_mz(4.0, [UniformBounded(-1e80, 1e80)])
+    assert report.lhs == pytest.approx(1e80 / 5.0**0.25, rel=1e-14)
+    assert report.rhs == pytest.approx(6e80 / 5.0**0.25, rel=1e-14)
+    report = verify_mz(2.0, [Rademacher(1e200)])  # lhs = 1e200, rhs = c_2 * 1e200
+    assert report.lhs == pytest.approx(1e200, rel=1e-15)
+    assert report.rhs == pytest.approx(2e200, rel=1e-15)
+    # a uniform far below the largest parameter adds (almost) nothing; one
+    # whose width vanishes at the common scale is the point it scales to
+    report = verify_mz(2.0, [Rademacher(1e300), UniformBounded(0.0, 1e-3)])
+    assert report.lhs == pytest.approx(0.5e300, rel=1e-15)
+    report = verify_mz(2.0, [Rademacher(1e74), UniformBounded(0.0, 1e-252)])  # both ends to 0
+    assert (report.lhs, report.rhs) == (0.5e74, 1e74)
+    narrow = UniformBounded(1e-10, 1e-10 + 1e-25)  # both ends to one subnormal
+    assert math.ldexp(narrow.low, -997) == math.ldexp(narrow.high, -997) > 0.0
+    assert verify_mz(2.0, [Rademacher(1e300), narrow]) == verify_mz(2.0, [Rademacher(1e300), Constant(1e-10)])
+    with pytest.raises(OverflowError):  # beyond the largest double: never a silent inf
+        hoeffding_bound(1.5, [1e308], 1e-10)
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+def test_closed_forms_are_homogeneous_in_the_scale(monkeypatch, scale):
+    """Every default configuration with each input times 2^600 or 2^-600 gives
+    its numbers times the same power of two, exactly: the verdicts and the
+    ratios bound/certificate and rhs/lhs keep every bit."""
+    hoeffding, mz = [], []
+    verify_h, verify_q = stats.verify_hoeffding_p, stats.verify_mz
+    monkeypatch.setattr(stats, "verify_hoeffding_p", lambda p, b, delta, label:
+                        hoeffding.append((p, b, delta)) or verify_h(p, b, delta))
+    monkeypatch.setattr(stats, "verify_mz", lambda q, dists, label:
+                        mz.append((q, dists)) or verify_q(q, dists))
+    hoeffding_default_suite(master_seed=0)
+    mz_default_suite()
+    assert len(hoeffding) == len(mz) == 20
+    for p, b, delta in hoeffding:
+        report, scaled = verify_h(p, b, delta), verify_h(p, b * scale, delta)
+        assert (scaled.bound, scaled.certificate) == (report.bound * scale, report.certificate * scale)
+        assert scaled.holds == report.holds
+    for q, dists in mz:
+        report = verify_q(q, dists)
+        scaled = verify_q(q, [type(law)(*(v * scale for v in astuple(law))) for law in dists])
+        assert (scaled.lhs, scaled.rhs) == (report.lhs * scale, report.rhs * scale)
+        assert scaled.holds == report.holds
 
 
 def test_mz_constant_rejects_nan():

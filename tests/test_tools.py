@@ -3,6 +3,7 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from scvquad.estimators import EstimatorConfig, Method
 from scvquad.stats import replicate
@@ -46,9 +47,9 @@ def test_src_lines_prints_each_module_and_the_total(tmp_path, capsys):
                     ["snippet", "16", "6"], ["total", "32", "12"]]
 
 
-def _load_bit_digest():
+def _load_tool(name: str):
     spec = importlib.util.spec_from_file_location(
-        "bit_digest", Path(__file__).resolve().parent.parent / "tools" / "bit_digest.py")
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -58,7 +59,7 @@ def test_bit_digest_dumps_each_replicate_groups_errors(monkeypatch, tmp_path, ca
     """`--dump DIR` saves one row of errors per ensemble for each worker
     count, NaN where an ensemble raised; here on two ensembles of the sweep
     and one whose budget fails, with the campaigns and `verify` left out."""
-    bit_digest = _load_bit_digest()
+    bit_digest = _load_tool("bit_digest")
     sweep = list(itertools.islice(bit_digest.ensembles(), 2))
     over_budget = EstimatorConfig(method=Method.CV_MOM, s=1, m=1, k=2)
     sweep.append(("over budget", make_benchmark, over_budget))
@@ -74,3 +75,34 @@ def test_bit_digest_dumps_each_replicate_groups_errors(monkeypatch, tmp_path, ca
         assert dumped.shape == (3, bit_digest.R)
         assert dumped[:2].tobytes() == np.array(expected).tobytes()
         assert np.isnan(dumped[2]).all()
+
+
+def test_bit_digest_compares_two_dumps(tmp_path, capsys):
+    """`--compare DIR_A DIR_B` prints, per worker count, the largest |a - b|
+    where both dumps hold a number and the count of one-sided NaNs."""
+    bit_digest = _load_tool("bit_digest")
+    a = np.array([[1.0, 2.0, np.nan], [0.5, np.nan, np.nan]])
+    b = np.array([[1.0, 2.0 + 2**-50, np.nan], [0.25, 3.0, np.nan]])
+    for name, dump in (("a", a), ("b", b)):
+        (tmp_path / name).mkdir()
+        for workers in (1, 2):
+            np.save(tmp_path / name / f"replicate-workers-{workers}.npy", dump[: 3 - workers])
+    assert bit_digest.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "replicate-workers-1.npy: max |a - b| = 0.25 over 3 errors, 1 NaN mismatches",
+        "replicate-workers-2.npy: max |a - b| = 8.88e-16 over 2 errors, 0 NaN mismatches",
+    ]
+    (tmp_path / "empty").mkdir()  # a directory with no dump never reads as no drift
+    with pytest.raises(ValueError, match="no replicate-workers"):
+        bit_digest.main(["--compare", str(tmp_path / "empty"), str(tmp_path / "b")])
+
+
+def test_each_mutant_names_text_that_occurs_once():
+    """Every listed mutant's `old` text occurs exactly once in its file, and
+    its `new` text differs, so the list cannot rot unseen."""
+    mutants = _load_tool("mutants")
+    assert mutants.MUTANTS
+    for mutant in mutants.MUTANTS:
+        text = (mutants.ROOT / mutant.file).read_text()
+        assert text.count(mutant.old) == 1, mutant
+        assert mutant.new != mutant.old and text.count(mutant.new) == 0, mutant

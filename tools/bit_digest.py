@@ -34,10 +34,15 @@ Compare two checkouts by diffing the outputs; a differing line names its group::
 
 With ``--dump DIR`` each ``replicate workers=W`` group also saves its errors
 as ``DIR/replicate-workers-W.npy``: one row of R per ensemble of the sweep,
-in sweep order, NaN where the ensemble raised.  Two dumps give the size of a
+in sweep order, NaN where the ensemble raised.  ``--compare DIR_A DIR_B``
+reads two such dumps instead of digesting anything, and prints for each
+``replicate-workers-W.npy`` pair the largest |a - b| where both are numbers
+and the count of entries that are NaN on one side only: the size of a
 deliberate last-ulp change::
 
-    python -c "import numpy as np; a, b = (np.load(f'{x}/replicate-workers-1.npy') for x in 'ab'); print(np.nanmax(abs(a - b)))"
+    PYTHONPATH=a/src python tools/bit_digest.py --dump a-dump > a.txt
+    PYTHONPATH=b/src python tools/bit_digest.py --dump b-dump > b.txt
+    PYTHONPATH=a/src python tools/bit_digest.py --compare a-dump b-dump
 """
 
 from __future__ import annotations
@@ -150,11 +155,36 @@ def verify_digest() -> str:
     return hashlib.sha256(f"exit {code}\n{text.getvalue()}".encode()).hexdigest()
 
 
+def compare(dir_a: Path, dir_b: Path) -> None:
+    """Print, for each ``replicate-workers-W.npy`` in `dir_a` and its namesake
+    in `dir_b`, the largest |a - b| where both are numbers and the count of
+    entries that are NaN on one side only.  ValueError if `dir_a` holds no
+    such file, so a mistyped or empty directory never reads as no drift."""
+    paths = sorted(dir_a.glob("replicate-workers-*.npy"))
+    if not paths:
+        raise ValueError(f"{dir_a}: no replicate-workers-*.npy dump to compare")
+    for path in paths:
+        a, b = np.load(path), np.load(dir_b / path.name)
+        if a.shape != b.shape:
+            raise ValueError(f"{path.name}: shapes {a.shape} and {b.shape} differ")
+        both = ~(np.isnan(a) | np.isnan(b))
+        largest = float(np.max(np.abs(a - b)[both], initial=0.0))
+        mismatches = int(np.count_nonzero(np.isnan(a) != np.isnan(b)))
+        print(f"{path.name}: max |a - b| = {largest:.3g} over {int(both.sum())} errors, "
+              f"{mismatches} NaN mismatches")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Digest scvquad's outputs, one line per group.")
     parser.add_argument("--dump", type=Path, metavar="DIR",
                         help="also save each replicate group's errors as DIR/*.npy")
-    dump = parser.parse_args(argv).dump
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="only compare two --dump directories, error by error")
+    args = parser.parse_args(argv)
+    if args.compare is not None:
+        compare(*args.compare)
+        return 0
+    dump = args.dump
     if dump is not None:
         dump.mkdir(parents=True, exist_ok=True)
     differ = []
