@@ -23,13 +23,16 @@ reductions within a replication's rows touch them.  So an estimate has
 the same bits alone (:func:`run`) or stacked with thousands, in one tile
 of points or many, whatever the worker count.  :func:`_ensemble`, the one
 path for both, fits once (deterministic mode), hashes every key once and
-cuts the key rows into stacks by their size alone.
+cuts the key rows into stacks by their size alone; the shared fit's node
+tiles and then the stacks run on one pool of ``min(workers, max(fit tiles,
+stacks))`` threads, started only when that is more than one.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -200,7 +203,7 @@ def _in_cells(f: Integrand, m: int, local: np.ndarray, cells: slice) -> np.ndarr
     return f(x.reshape(-1, f.dim)).reshape(-1, *x.shape[-3:-1])
 
 
-def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
+def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None, tile_map=map):
     """Interpolate f on every subcube at once (SCV, CV and CV+MoM; STRAT has
     no fit).  The budget is :func:`_ensemble`'s to check, before any call.
 
@@ -208,19 +211,25 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     node set (shifted mode); without, one fit of the regular nodes serves
     every seed (a stack of one).  Evaluates f at the node sets mapped into
     every cell (node order within each cell), in tiles of at most
-    ``_BLOCK_POINTS`` nodes, and solves each collocation system against all
-    its value rows at once, by one product with the node set's inverse:
-    that product and the moments product change bits with their row count,
-    so neither is tiled.  Every method gets (solver, coeffs, means): coeffs
-    C-ordered of shape (R or 1, m^d, n0), one row per (fit, cell), and
-    means = coeffs @ moments, each cell's exact interpolant mean.
+    ``_BLOCK_POINTS`` nodes, each filled through `tile_map` (the ensemble's
+    pool's ``map`` for the shared fit, see :func:`_ensemble`): a tile is
+    elementwise and writes its own slice, so any map keeps the bits.  It
+    solves each collocation system against all its value rows at once, by
+    one product with the node set's inverse: that product and the moments
+    product change bits with their row count, so neither is tiled.  Every
+    method gets (solver, coeffs, means): coeffs C-ordered of shape (R or 1,
+    m^d, n0), one row per (fit, cell), and means = coeffs @ moments, each
+    cell's exact interpolant mean.
     """
     solver = _regular(cfg.s, f.dim)
     if shifts is not None:
         solver = LocalInterpolator(shifted_nodes(solver.points, shifts), cfg.s)
     values = np.empty((1 if shifts is None else len(shifts), cfg.m**f.dim, len(solver)))
-    for tile in _tiles(values.shape[1], len(values) * len(solver)):
+
+    def fill(tile):  # elementwise, into a slice no other tile writes
         values[:, tile] = _in_cells(f, cfg.m, solver.points[..., None, :, :], tile)
+
+    list(tile_map(fill, _tiles(values.shape[1], len(values) * len(solver))))
     coeffs = solver.solve(values)
     return solver, coeffs, coeffs @ solver.moments
 
@@ -378,21 +387,26 @@ def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np
     once into one (R, 2) uint64 array.  The stack rule: its rows are cut by
     :func:`_tiles` into stacks of at most ``_BLOCK_POINTS`` sample points
     and at least one replication, by size alone, so every worker count runs
-    the same stacks.  :func:`_estimates` runs them on the calling thread
-    when there is one stack or one worker, else on ``min(workers, stacks)``
-    threads.  ValueError if an estimate is not finite (a sum overflowed).
+    the same stacks.  The pool rule: ``threads = min(workers, max(fit
+    tiles, stacks))``, counting the shared fit's node tiles (none in shifted
+    mode or for STRAT), and a pool of that many threads starts only when
+    ``threads > 1``; else everything runs on the calling thread.  The shared
+    fit's tiles run on the pool first, then :func:`_estimates` runs the
+    stacks on it.  A shifted-mode fit runs inside its stack's own worker
+    and never maps onto the pool, where a task waiting on tasks queued
+    behind it could deadlock.  ValueError if an estimate is not finite (a
+    sum overflowed).
     """
     points = math.prod(_sample_shape(cfg, f.dim)[:-1])
     shared = cfg.interpolation_mode is DETERMINISTIC and cfg.method is not Method.STRAT
-    fit = _fit(f, cfg) if shared else None
     keys = _philox_keys(seeds)
     stacks = [keys[tile] for tile in _tiles(len(keys), points)]
-    estimates = partial(_estimates, f, cfg, fit)
-    if workers == 1 or len(stacks) == 1:
-        values = np.concatenate([estimates(stack) for stack in stacks])
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(stacks))) as pool:
-            values = np.concatenate(list(pool.map(estimates, stacks)))
+    fit_tiles = len(_tiles(cfg.m**f.dim, poly_dim(cfg.s, f.dim))) if shared else 0  # as _fit's
+    threads = min(workers, max(fit_tiles, len(stacks)))
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        tile_map = pool.map if pool else map
+        fit = _fit(f, cfg, tile_map=tile_map) if shared else None
+        values = np.concatenate(list(tile_map(partial(_estimates, f, cfg, fit), stacks)))
     if not np.isfinite(values).all():
         raise ValueError(f"{cfg.method.value} at s={cfg.s}, m={cfg.m} gave a non-finite estimate")
     return values

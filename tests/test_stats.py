@@ -1,6 +1,8 @@
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -29,7 +31,7 @@ from scvquad.stats import (
     verify_hoeffding_p,
     verify_mz,
 )
-from scvquad.testbed import Integrand, random_poly
+from scvquad.testbed import BumpSpec, Integrand, bump, random_poly
 from scvquad.testbed import test_function_2d as make_benchmark
 
 
@@ -174,6 +176,57 @@ def test_stacks_are_cut_by_size_alone(monkeypatch, full):
         threads = min(workers, full + 1)
         assert pools == ([threads] if threads > 1 else []), workers
         assert errors.tobytes() == (expected - 1.0).tobytes(), workers
+
+
+@pytest.mark.parametrize("R", [1, 3])  # one stack; three stacks of one replication
+@pytest.mark.parametrize("case", ["scv-d2-m64", "cv-bump-d4-m10"])
+def test_shared_fit_tiles_run_on_the_pool(monkeypatch, case, R):
+    """The shared fit's node tiles run on the ensemble's pool, before its
+    stacks: at 1, 2 and 3 workers the errors keep their bits, the ensemble
+    spends the fit's nodes once plus R sample blocks, and a pool is built
+    only when min(workers, max(fit tiles, stacks)) > 1, with that many
+    threads, and runs every fit tile and every stack.  The threads switch
+    every 10 us, so a lost write to the fit's values or to the evaluation
+    counter would show."""
+    if case == "scv-d2-m64":  # 4,096 cells of 3 nodes, in 2 tiles
+        make, d, tiles = make_benchmark, 2, 2
+        cfg = EstimatorConfig(method=Method.SCV, s=2, m=64)
+    else:  # 10^4 cells of 15 nodes, in 19 tiles
+        spec = BumpSpec(s=2, d=4, p=1.0, sigma=0.45, center=(0.5,) * 4)
+        make, d, tiles = partial(bump, spec), 4, 19
+        cfg = EstimatorConfig(method=Method.CV, s=3, m=10)
+    nodes = poly_dim(cfg.s, d) * cfg.m**d
+    points = math.prod(estimators._sample_shape(cfg, d)[:-1])
+    assert points > estimators._BLOCK_POINTS  # one replication per stack
+    pools, tasks = [], []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def submit(self, fn, *args, **kwargs):
+            tasks.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        base = None
+        for workers in (1, 2, 3):
+            pools.clear()
+            tasks.clear()
+            f = make()
+            errors = replicate(f, cfg, R, 12, workers=workers).errors
+            base = errors if base is None else base
+            assert errors.tobytes() == base.tobytes(), workers
+            assert f.evals == nodes + R * points, workers
+            threads = min(workers, max(tiles, R))
+            assert pools == ([threads] if threads > 1 else []), workers
+            assert len(tasks) == (tiles + R if threads > 1 else 0), workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _shift_rconds(cfg, d, master, R):

@@ -272,6 +272,56 @@ def test_corner_bump_rejects_nan_p():
         corner_bump(1, 2, math.nan, 4, 0.1)
 
 
+def _old_bump(x, s, p, sigma, center):
+    """The bump as it was first written: its radius by numpy's row sum."""
+    r2 = np.sum(((x - np.asarray(center)) / sigma) ** 2, axis=1)
+    return sigma ** (s - x.shape[1] / p) * np.clip(1.0 - r2, 0.0, None) ** s, r2
+
+
+def _around(rng, center, sigma, n=600):
+    """Points at the center, inside the support, on its edge (radius sigma
+    along random directions, and the next doubles either side) and outside."""
+    d = len(center)
+    u = rng.standard_normal((n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    k = n // 3
+    radii = np.concatenate([rng.random(k), np.ones(k), 1.0 + rng.random(n - 2 * k)])
+    x = np.asarray(center) + sigma * radii[:, None] * u
+    edge = x[k : 2 * k]
+    return np.concatenate([np.asarray(center)[None, :], x, np.nextafter(edge, 0.0),
+                           np.nextafter(edge, 1.0), np.eye(d) * sigma + np.asarray(center)])
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_bump_kernels_match_the_row_sum_formula(d):
+    """bump and corner_bump equal the first formula, whose radius is numpy's
+    row sum, bit for bit for d <= 7; from d = 8 numpy's row sum adds in
+    another order, and each value agrees within height * (d 2^-53 r2 + 2^-52):
+    the radius within d 2^-53 r2, then 1 - r2 and the height's product
+    each rounded on both sides."""
+    rng = np.random.default_rng(100 + d)
+    cases = []
+    orders = [(1, 1.0), (2, 1.5), (3, 2.0), (1, float(d))] if d <= 7 else [(1, 1.0), (1, float(d))]
+    for s, p in orders:
+        sigma = float(rng.uniform(0.05, 0.5))
+        center = tuple(rng.uniform(sigma, 1.0 - sigma, d))
+        spec = BumpSpec(s=s, d=d, p=p, sigma=sigma, center=center)
+        cases.append((bump(spec), s, p, sigma, center))
+    if d >= 2:  # the low-smoothness regime s < d/p needs d >= 2 at s = 1
+        for m, delta in [(8, 0.1), (3, 0.02)]:
+            sigma, center = 0.125 * delta ** (1.0 / d) / m, (0.125 / m,) * d
+            cases.append((corner_bump(1, d, 1.0, m, delta), 1, 1.0, sigma, center))
+    for f, s, p, sigma, center in cases:
+        x = _around(rng, center, sigma)
+        old, r2 = _old_bump(x, s, p, sigma, center)
+        assert (old > 0).any() and (old == 0).any()
+        if d <= 7:
+            assert f(x).tobytes() == old.tobytes(), (f, s, p)
+        else:
+            height = sigma ** (s - d / p)
+            assert (np.abs(f(x) - old) <= height * (d * 2.0**-53 * r2 + 2.0**-52)).all(), (f, p)
+
+
 @pytest.mark.parametrize(
     "factory",
     [

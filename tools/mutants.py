@@ -35,8 +35,8 @@ class Mutant(NamedTuple):
     property: str  # what a test must guard for the mutant to die
 
 
-_EST, _GRID, _INTERP, _STATS = (
-    f"src/scvquad/{name}.py" for name in ("estimators", "grid", "interp", "stats"))
+_EST, _GRID, _INTERP, _STATS, _TESTBED = (
+    f"src/scvquad/{name}.py" for name in ("estimators", "grid", "interp", "stats", "testbed"))
 
 MUTANTS = [
     # the replication path
@@ -59,6 +59,10 @@ MUTANTS = [
            "each replication reads its own stream, whatever its stack"),
     Mutant(_EST, "poly_dim(self.s, d) * self.m**d", "poly_dim(self.s, d) * self.m**d + 1",
            "the exact evaluation budget"),
+    Mutant(_EST, "fit = _fit(f, cfg, tile_map=tile_map) if shared else None",
+           "fit = _fit(f, cfg, tile_map=lambda fn, tiles:"
+           " tile_map(fn, tiles[:-1] if pool else tiles)) if shared else None",
+           "the pooled shared fit fills every node tile"),
     Mutant(_INTERP, "return values @ np.swapaxes(self.inverse, -1, -2)",
            "return values @ self.inverse",
            "the interpolant matches f at its nodes"),
@@ -70,6 +74,8 @@ MUTANTS = [
     Mutant(_GRID, "return (base + shift[..., None, :]) / 2.0",
            "return (base + shift[..., None, :] / 2.0) / 2.0",
            "the shifted node map"),
+    Mutant(_TESTBED, "r2 = ((pts[:, 0] - center[0]) / sigma) ** 2", "r2 = np.zeros(len(pts))",
+           "the bump's radius reads every coordinate"),
     # the statistics layer and the two inequalities
     Mutant(_STATS, "[rank - 1])", "[rank - 2])", "the delta-quantile rank"),
     Mutant(_STATS, "np.abs(sample.errors) > threshold", "np.abs(sample.errors) >= threshold",
