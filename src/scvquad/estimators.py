@@ -8,24 +8,26 @@ control variate and one sample per cell.  Classical control variates (CV)
 uses the identical piecewise interpolant but samples the residual iid over
 the whole cube; CV+MoM replaces the residual mean by a median of group means.
 
-Reproducibility contract: each estimate reads one row of draws (shift
-first, then one sample block) from a counter-based (Philox) stream keyed
-by a hash of its 64-bit seed.  Subcubes are traversed in lexicographic
-index order, and each sum over samples (those of an SCV cell or of a CV
-or CV+MoM group) or over the m^d cells is one fixed pairwise fold,
-:func:`_rounded_sums`, the one reduction in this module: none of these
-sums is left to numpy's unspecified order.  Each fit is one (solver, coeffs, means) for every
-method, its coefficients C-ordered rows, one per (fit, cell).  Each
-method body takes a stack of sample blocks, one row per replication, and a
-stack of fits, one shared by all (deterministic mode) or one per replication
-(shifted mode); only elementwise operations, per-matrix products and
-reductions within a replication's rows touch them.  So an estimate has
-the same bits alone (:func:`run`) or stacked with thousands, in one tile
-of points or many, whatever the worker count.  :func:`_ensemble`, the one
-path for both, fits once (deterministic mode), hashes every key once and
-cuts the key rows into stacks by their size alone; the shared fit's node
-tiles and then the stacks run on one pool of ``min(workers, max(fit tiles,
-stacks))`` threads, started only when that is more than one.
+Reproducibility contract: each estimate's draws are one row (shift first,
+then one sample block) of a counter-based (Philox) stream keyed by a hash
+of its 64-bit seed, read a tile at a time at each tile's counter offset,
+so a stack holds at most one tile of draws.  Subcubes are traversed in
+lexicographic index order, and each sum over samples (those of an SCV cell
+or of a CV or CV+MoM group) or over the m^d cells is one fixed pairwise
+fold, :func:`_rounded_sums`, the one reduction in this module: none of
+these sums is left to numpy's unspecified order.  Each fit is one (solver,
+coeffs, means) for every method, its coefficients C-ordered rows, one per
+(fit, cell).  Each method body takes a stack's sample blocks, one row per
+replication, a tile at a time, and a stack of fits, one shared by all
+(deterministic mode) or one per replication (shifted mode); only
+elementwise operations, per-matrix products and reductions within a
+replication's rows touch them.  So an estimate has the same bits alone
+(:func:`run`) or stacked with thousands, in one tile of points or many,
+whatever the worker count.  :func:`_ensemble`, the one path for both, fits
+once (deterministic mode), hashes every key once and cuts the key rows
+into stacks by their size alone; the shared fit's node tiles and then the
+stacks run on one pool of ``min(workers, max(fit tiles, stacks))``
+threads, started only when that is more than one.
 """
 
 from __future__ import annotations
@@ -219,18 +221,27 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None, t
     product change bits with their row count, so neither is tiled.  Every
     method gets (solver, coeffs, means): coeffs C-ordered of shape (R or 1,
     m^d, n0), one row per (fit, cell), and means = coeffs @ moments, each
-    cell's exact interpolant mean.
+    cell's exact interpolant mean.  The shared fit's node values and
+    coefficients are the two halves of one array.  glibc returns freed heap
+    memory to the system above a trim threshold that follows the largest
+    block freed: as two arrays, made and freed by every ensemble, they would
+    be trimmed after each call and paged back in on the next (thousands of
+    page faults per ``grid-large-m`` chunk); one block twice their size
+    keeps a call's arrays resident.  A shifted stack's fit, made once per
+    stack, stays two arrays: as one block, stacks of the ``tails``
+    campaign's size ran slower.
     """
     solver = _regular(cfg.s, f.dim)
     if shifts is not None:
         solver = LocalInterpolator(shifted_nodes(solver.points, shifts), cfg.s)
-    values = np.empty((1 if shifts is None else len(shifts), cfg.m**f.dim, len(solver)))
+    fits = 1 if shifts is None else len(shifts)
+    values, *out = np.empty((1 + (shifts is None), fits, cfg.m**f.dim, len(solver)))
 
     def fill(tile):  # elementwise, into a slice no other tile writes
         values[:, tile] = _in_cells(f, cfg.m, solver.points[..., None, :, :], tile)
 
     list(tile_map(fill, _tiles(values.shape[1], len(values) * len(solver))))
-    coeffs = solver.solve(values)
+    coeffs = solver.solve(values, *out)
     return solver, coeffs, coeffs @ solver.moments
 
 
@@ -272,30 +283,31 @@ def _rounded_sums(x: np.ndarray) -> np.ndarray:
     return buf[0].reshape(x.shape[:-1])
 
 
-def _stratified(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.ndarray:
+def _stratified(f: Integrand, cfg: EstimatorConfig, fit, shape: tuple, tiles) -> np.ndarray:
     """Stratified control variates, or plain stratified sampling if `fit` is None.
 
     ``m^-d * sum_i (a_i + mean_j [f - g_i](X_i^(j)))`` with the points
-    X_i^(j) of `u` uniform on cell i: n0 of them for SCV, whose g_i is the
+    X_i^(j) uniform on cell i: n0 of them for SCV, whose g_i is the
     cell's interpolant with exact mean a_i (exact on polynomials of total
-    degree < s, linear and unbiased), and one for STRAT, with g = 0.  The
-    cells go in tiles of at most ``_BLOCK_POINTS`` points of the stack, each
-    reading its slice ``coeffs[:, tile]`` of the fit; only the cell terms
-    ``a_i + fold(resid_i) / n0`` outlive a tile, and they are folded once.
+    degree < s, linear and unbiased), and one for STRAT, with g = 0.
+    `shape` is the stack's (R, m^d, J, d) of local points, and `tiles`
+    yields them a tile at a time: a slice of at most ``_BLOCK_POINTS``
+    points' cells and their (R, c, J, d) points, each tile reading its slice
+    ``coeffs[:, tile]`` of the fit.  Only the cell terms
+    ``a_i + fold(resid_i) / J`` outlive a tile, and they are folded once.
     """
-    solver, coeffs, means = fit or (None, None, np.broadcast_to(0.0, (1, u.shape[1])))
-    cell_terms = np.empty(u.shape[:2])
-    for tile in _tiles(u.shape[1], len(u) * u.shape[2]):
-        ut = u[:, tile]
+    solver, coeffs, means = fit or (None, None, np.broadcast_to(0.0, (1, shape[1])))
+    cell_terms = np.empty(shape[:2])
+    for tile, ut in tiles:
         resid = _in_cells(f, cfg.m, ut, tile)
         if fit is not None:
             design = solver.design_matrix(ut.reshape(-1, f.dim)).reshape(*resid.shape, -1)
             resid = resid - np.einsum("rcjn,rcn->rcj", design, coeffs[:, tile])
-        cell_terms[:, tile] = means[:, tile] + _rounded_sums(resid) / u.shape[2]
-    return _rounded_sums(cell_terms) / u.shape[1]
+        cell_terms[:, tile] = means[:, tile] + _rounded_sums(resid) / shape[2]
+    return _rounded_sums(cell_terms) / shape[1]
 
 
-def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.ndarray:
+def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, shape: tuple, tiles) -> np.ndarray:
     """Interpolant's integral plus the median of k whole-cube residual group means.
 
     The interpolant is SCV's, and its integral is the fold of the exact
@@ -310,24 +322,25 @@ def _whole_cube(f: Integrand, cfg: EstimatorConfig, fit, u: np.ndarray) -> np.nd
     stable sort (tied ±0 keep their order); an even k averages the central two.
     A replication with an overflowed group sum (±inf, or nan, which would
     sort last) gets nan, so the median never hides it.
-    The samples go in tiles of at most ``_BLOCK_POINTS`` points of the stack;
-    each sample's coefficient row is gathered from the fit's (fit, cell) rows
-    in place, and only the residuals outlive a tile.
+    `shape` is the stack's (R, k, n1, d) of points, and `tiles` yields them
+    a tile at a time, in draw order: a slice of at most ``_BLOCK_POINTS``
+    points' samples and their (R, c, d) points.  Each sample's coefficient
+    row is gathered from the fit's (fit, cell) rows in place, and only the
+    residuals outlive a tile.
     """
     solver, coeffs, means = fit
-    k, n1 = u.shape[1:3]
-    x = u.reshape(len(u), k * n1, f.dim)
+    reps, k, n1 = shape[:3]
     table = coeffs.reshape(-1, len(solver))  # a view: coeffs is C-ordered
-    offset = cfg.m**f.dim * (np.arange(len(u)) % len(coeffs))[:, None]  # each replication's fit
+    offset = cfg.m**f.dim * (np.arange(reps) % len(coeffs))[:, None]  # each replication's fit
     integrals = _rounded_sums(means) / cfg.m**f.dim
-    resid = np.empty(x.shape[:2])
-    for tile in _tiles(k * n1, len(u)):
-        xt = x[:, tile].reshape(-1, f.dim)
+    resid = np.empty((reps, k * n1))
+    for tile, ut in tiles:
+        xt = ut.reshape(-1, f.dim)
         rows, local = locate(xt, cfg.m)
-        coeff_rows = np.take(table, (rows.reshape(len(u), -1) + offset).ravel(), axis=0)
+        coeff_rows = np.take(table, (rows.reshape(reps, -1) + offset).ravel(), axis=0)
         gx = np.einsum("ij,ij->i", solver.design_matrix(local), coeff_rows)
-        resid[:, tile] = (f(xt) - gx).reshape(len(u), -1)
-    groups = np.sort(_rounded_sums(resid.reshape(len(u), k, n1)) / n1, kind="stable")
+        resid[:, tile] = (f(xt) - gx).reshape(reps, -1)
+    groups = np.sort(_rounded_sums(resid.reshape(reps, k, n1)) / n1, kind="stable")
     median = groups[:, k // 2] if k % 2 else (groups[:, k // 2 - 1] + groups[:, k // 2]) / 2
     return np.where(np.isfinite(groups).all(axis=1), integrals + median, np.nan)  # see _ensemble
 
@@ -347,35 +360,59 @@ def _tiles(n: int, width: int) -> list[slice]:
     """The one cut: consecutive slices of n items of `width` sample points
     each, every slice of at most ``_BLOCK_POINTS`` points and at least one item."""
     step = max(1, _BLOCK_POINTS // width)
-    return [slice(i, i + step) for i in range(0, n, step)]
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _estimates(f: Integrand, cfg: EstimatorConfig, fit, keys: np.ndarray) -> np.ndarray:
     """Values of one stack of replications, given their (n, 2) Philox key rows.
 
-    Each replication reads one row of draws from its own stream, in one call
-    of a reused Philox re-keyed to a fresh stream (counter 0, empty buffer)
-    from plain ints, which numpy's setter reads faster than uint64 arrays:
-    its node shift (d doubles, shifted mode only), then its sample block.
-    `fit` is the shared fit of deterministic mode (None for STRAT); in
-    shifted mode the stack is fitted on its own shifts.  The stack goes
-    through f, the design matrix and the einsum in tiles, and through each
-    reduction whole.
+    Replication r's draws are one row of its own stream: its node shift (d
+    doubles, shifted mode only), then its sample block.  The row is never
+    made whole.  Each of the body's tiles (:func:`_tiles`: cells for SCV
+    and STRAT, samples for CV and CV+MoM) draws its span of every row into
+    one buffer that the stack owns and reuses, so the stack holds at most
+    one tile of draws, plus the shifts (and 3 doubles per row if it has
+    more than one tile).  Philox is counter-based, and double t of a stream
+    is double ``t % 4`` of the block at counter ``t // 4``: a span starting
+    at double t re-keys one reused Philox, from plain ints, which numpy's
+    setter reads faster than uint64 arrays, to that counter with an empty
+    buffer, and drops the first ``t % 4`` doubles it draws.  In shifted
+    mode the shifts and the first tile come from one call per replication,
+    before the stack is fitted on its shifts, so a stack of one tile makes
+    one call per replication in either mode.  `fit` is the shared fit of
+    deterministic mode (None for STRAT).  Each reduction runs once, on the
+    whole stack.
     """
-    shape = _sample_shape(cfg, f.dim)
+    shape = (len(keys), *_sample_shape(cfg, f.dim))
     n_shift = f.dim if cfg.interpolation_mode is SHIFTED and cfg.method is not Method.STRAT else 0
+    cell_wise = cfg.method in (Method.SCV, Method.STRAT)
+    item = shape[2:] if cell_wise else shape[3:]  # the draws of one cell, or of one sample
+    size = math.prod(item)
+    tiles = _tiles(math.prod(shape[1:]) // size, len(keys) * size // f.dim)
     gen = np.random.Generator(np.random.Philox(0))
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    draws = np.empty((len(keys), n_shift + math.prod(shape)))
-    for row, key in zip(draws, keys.tolist()):  # only this stack's keys become ints
-        state["state"]["key"] = key
-        gen.bit_generator.state = state
-        gen.random(out=row)
+    rows, held = keys.tolist(), [0, 0]  # only this stack's keys become ints
+    width = n_shift + tiles[0].stop * size  # the shifts and the first tile
+    # a later tile's span may start 3 doubles into its counter's block
+    buf = np.empty((len(rows), width + 3 * (len(tiles) > 1)))
+
+    def draw(lo, hi):  # doubles [lo, hi) of every row, as columns of buf
+        if not held[0] <= lo <= hi <= held[1]:  # else drawn with the shifts
+            held[:] = lo - lo % 4, hi
+            state["state"]["counter"][0] = lo // 4
+            for row, key in zip(buf[:, : hi - held[0]], rows):
+                state["state"]["key"] = key
+                gen.bit_generator.state = state
+                gen.random(out=row)
+        return buf[:, lo - held[0] : hi - held[0]]
+
     if n_shift:
-        fit = _fit(f, cfg, draws[:, :n_shift])
-    body = _whole_cube if cfg.method in (Method.CV, Method.CV_MOM) else _stratified
-    return body(f, cfg, fit, draws[:, n_shift:].reshape(len(keys), *shape))
+        fit = _fit(f, cfg, draw(0, width)[:, :n_shift])
+    body = _stratified if cell_wise else _whole_cube
+    return body(f, cfg, fit, shape, (
+        (t, draw(n_shift + t.start * size, n_shift + t.stop * size).reshape(len(rows), -1, *item))
+        for t in tiles))
 
 
 def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np.ndarray:

@@ -81,19 +81,19 @@ class LocalInterpolator:
     def __len__(self) -> int:
         return self.points.shape[-2]
 
-    def solve(self, values: np.ndarray) -> np.ndarray:
+    def solve(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of the interpolants matching `values` at the nodes.
 
         `values` is either a vector of length n0 (for one node set) or an
         (..., batch, n0) stack of rows, one per subcube; the result has the
-        same shape, each row's entries in the exponent order.  It is
-        ``values @ swapaxes(inverse)``: one product, whose bits do not depend
-        on the other node sets of a stack.
+        same shape, each row's entries in the exponent order, and is written
+        into `out` if given.  It is ``values @ swapaxes(inverse)``: one
+        product, whose bits do not depend on the other node sets of a stack.
         """
         values = np.asarray(values, dtype=float)
         if values.shape[-1] != len(self):
             raise ValueError(f"expected {len(self)} node values, got shape {values.shape}")
-        return values @ np.swapaxes(self.inverse, -1, -2)
+        return np.matmul(values, np.swapaxes(self.inverse, -1, -2), out=out)
 
     def design_matrix(self, points_local: np.ndarray) -> np.ndarray:
         """Monomial values at local points, shape (n, n0)."""

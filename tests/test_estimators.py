@@ -5,6 +5,7 @@ import statistics
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ from scvquad.grid import poly_dim, subcube_indices
 from scvquad.stats import replicate
 from scvquad.testbed import BumpSpec, Integrand, bump, random_poly
 from scvquad.testbed import test_function_2d as make_benchmark
+
+
+_DEFAULT_BLOCK = estimators._BLOCK_POINTS
 
 
 def _constant(c, d):
@@ -292,7 +296,8 @@ def test_cv_mom_median_matches_statistics_median(k):
     once.  The integral of the cell means is -5e-324 / 2 = -0.0, so the
     median's own bits show.  Residual i sits at its own point
     ``(i + 0.5) / 2N`` of cell 0, and f looks it up from the point, so any
-    batch of points gets its own values."""
+    batch of points gets its own values.  The samples come in one tile, and
+    again in tiles of one sample each."""
     rng = np.random.default_rng(k)
     for n1 in (1, 2, 3):
         shape = (256, k, n1)
@@ -303,11 +308,13 @@ def test_cv_mom_median_matches_statistics_median(k):
         cfg = EstimatorConfig(method=Method.CV_MOM, s=1, m=2, k=k)
         means = np.array([[-5e-324, 0.0]])  # their fold over the 2 cells is -0.0
         fit = (estimators._regular(1, 1), np.zeros((1, 2, 1)), means)  # _fit's form
-        u = ((np.arange(n) + 0.5) / (2 * n)).reshape(*shape, 1)
-        got = estimators._whole_cube(f, cfg, fit, u)
+        x = ((np.arange(n) + 0.5) / (2 * n)).reshape(256, k * n1, 1)
         groups = resid.tolist()
         expected = [-0.0 + statistics.median(_fold(g) / n1 for g in rep) for rep in groups]
-        assert _bits(got) == _bits(expected), f"n1={n1}"
+        for width in (k * n1, 1):
+            tiles = [(slice(i, i + width), x[:, i : i + width]) for i in range(0, k * n1, width)]
+            got = estimators._whole_cube(f, cfg, fit, (*shape, 1), iter(tiles))
+            assert _bits(got) == _bits(expected), f"n1={n1}, width={width}"
 
 
 def test_ensembles_import_neither_statistics_nor_numpy_ma():
@@ -425,12 +432,16 @@ def test_stratified_m1_single_sample():
     assert result.value == f(rng.random((1, 2)))[0]
 
 
-def test_stratified_draws_one_point_per_cell_in_cell_order():
-    # cell i's point is the stream's i-th block of d doubles, mapped into the cell
-    f = make_benchmark()
-    result = run(f, EstimatorConfig(method=Method.STRAT, s=3, m=3, seed=8))
-    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(8))).random((9, 2))
-    assert result.value == _fold(f((u + subcube_indices(3, 2)) / 3).tolist()) / 9
+def test_stratified_draws_one_point_per_cell_in_cell_order(monkeypatch):
+    """Cell i's point is the stream's i-th block of d doubles, mapped into
+    the cell, whether the cells come in one tile or one per tile: at d = 3
+    the tiles start at doubles of every residue mod 4."""
+    for d, block in product((2, 3), (None, 1)):
+        f = make_benchmark() if d == 2 else Integrand(lambda x: np.exp(x[:, 0] - x[:, 1] * x[:, 2]), 3)
+        monkeypatch.setattr(estimators, "_BLOCK_POINTS", block or _DEFAULT_BLOCK)
+        result = run(f, EstimatorConfig(method=Method.STRAT, s=3, m=3, seed=8))
+        u = np.random.Generator(np.random.Philox(np.random.SeedSequence(8))).random((3**d, d))
+        assert result.value == _fold(f((u + subcube_indices(3, d)) / 3).tolist()) / 3**d, (d, block)
 
 
 def test_shifted_run_draws_shift_then_samples():
@@ -452,24 +463,45 @@ def test_stack_draws_are_numpys_own_streams(monkeypatch, method, s, d, m, k):
     its sample block (deterministic mode), or its shift and then its block
     (shifted mode), as `_fit` and the method body receive them.  No row
     length here is a multiple of 4, so each row leaves doubles in the
-    reused Philox's buffer that the next re-key must drop."""
+    reused Philox's buffer that the next re-key must drop.  The stack runs
+    in one tile, and again with a tile per cell (SCV) or per sample (CV,
+    CV+MoM), drawn a tile at a time into one reused buffer; each tile, a
+    span [start, stop) of the row, is ``random(n)[start:stop]``, n the
+    row's length, and the tiles start at doubles of every residue mod 4."""
     seeds = [0, 7, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1]  # one and two 32-bit words
     keys = estimators._philox_keys(np.array(seeds, dtype=np.uint64))
     seen = {}
-    body = "_whole_cube" if method in (Method.CV, Method.CV_MOM) else "_stratified"
-    monkeypatch.setattr(estimators, "_fit", lambda f, cfg, shifts: seen.update(shifts=shifts))
-    monkeypatch.setattr(estimators, body, lambda f, cfg, fit, u: seen.update(u=u) or u[:, 0, 0, 0])
+
+    def body(f, cfg, fit, shape, tiles):
+        seen["tiles"] = [(tile, ut.copy()) for tile, ut in tiles]  # the buffer is reused
+        return np.zeros(shape[0])
+
+    monkeypatch.setattr(estimators, "_fit", lambda f, cfg, shifts: seen.update(shifts=shifts.copy()))
+    monkeypatch.setattr(estimators, "_whole_cube" if method in (Method.CV, Method.CV_MOM)
+                        else "_stratified", body)
     f = Integrand(lambda x: x[:, 0], dim=d)
-    for mode, n_shift in ((DETERMINISTIC, 0), (SHIFTED, d)):
+    residues, tiled = set(), False
+    for (mode, n_shift), block in product(((DETERMINISTIC, 0), (SHIFTED, d)), (None, 1)):
+        monkeypatch.setattr(estimators, "_BLOCK_POINTS", block or _DEFAULT_BLOCK)
         cfg = EstimatorConfig(method=method, s=s, m=m, k=k, interpolation_mode=mode)
         shape = estimators._sample_shape(cfg, d)
-        assert (n_shift + math.prod(shape)) % 4
+        n = n_shift + math.prod(shape)
+        assert n % 4
         estimators._estimates(f, cfg, None, keys)
+        size = math.prod(shape[1:]) if method is Method.SCV else d  # doubles per tile item
+        assert len(seen["tiles"]) == (1 if block is None else math.prod(shape) // size)
+        tiled |= len(seen["tiles"]) > 1  # CV at m = 1 draws one sample
         for r, seed in enumerate(seeds):
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            row = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(n)
             if n_shift:
-                assert seen["shifts"][r].tobytes() == rng.random(d).tobytes(), seed
-            assert seen["u"][r].tobytes() == rng.random(shape).tobytes(), (mode, seed)
+                assert seen["shifts"][r].tobytes() == row[:d].tobytes(), seed
+            for tile, ut in seen["tiles"]:
+                start, stop = n_shift + tile.start * size, n_shift + tile.stop * size
+                assert ut[r].tobytes() == row[start:stop].tobytes(), (mode, seed, tile)
+                residues.add(start % 4)
+            u = np.concatenate([ut[r].ravel() for _, ut in seen["tiles"]])
+            assert u.tobytes() == row[n_shift:].tobytes(), (mode, seed)
+    assert residues == ({0, 1, 2, 3} if tiled else {0, d % 4})  # the one-tile starts: 0 and d
 
 
 def test_stratified_builds_no_interpolator():
@@ -505,13 +537,17 @@ _TILE_METHODS = [(Method.SCV, 11), (Method.STRAT, 11), (Method.CV, 11), (Method.
 
 @pytest.mark.parametrize("mode", [DETERMINISTIC, SHIFTED])
 @pytest.mark.parametrize("method,k", _TILE_METHODS, ids=[m.value for m, _ in _TILE_METHODS])
-@pytest.mark.parametrize("s,d,m", [(2, 2, 64), (3, 2, 20), (3, 4, 3)], ids=["n0=3", "n0=6", "n0=15"])
+@pytest.mark.parametrize("s,d,m", [(2, 2, 64), (3, 2, 20), (3, 4, 3), (3, 3, 4)],
+                         ids=["n0=3", "n0=6", "n0=15", "n0=10-d3"])
 def test_tiles_keep_every_bit(monkeypatch, s, d, m, method, k, mode):
     """`replicate` errors are byte-identical whatever the tile size: one cell
     or one sample per tile; a last tile of one cell (SCV, STRAT) or one
     sample (CV, CV+MoM), the fit's last tile one cell too except for CV+MoM;
     and the whole replication in one tile.  At n0 >= 6 a tiled collocation
-    solve or moments product changes bits, so both stay whole."""
+    solve or moments product changes bits, so both stay whole.  At d = 3 a
+    cell's or a sample's draws are not a multiple of 4 doubles, so tiles
+    start inside a Philox block, and each tile's draws must drop its
+    leading doubles."""
     f = bump(BumpSpec(s=2, d=d, p=1.0, sigma=0.45, center=(0.5,) * d))
     cfg = EstimatorConfig(method=method, s=s, m=m, k=k, interpolation_mode=mode)
     default = replicate(f, cfg, 3, master_seed=5).errors.tobytes()
@@ -525,13 +561,13 @@ def test_tiles_keep_every_bit(monkeypatch, s, d, m, method, k, mode):
 def test_cv_memory_is_bounded_by_tiles():
     """One CV `run` on the benchmark's 4-d bump at s=3, m=10 (n0 = 15, 10^4
     cells, N = 1.5*10^5 samples) peaks below 20 MB (10^6 bytes) traced.
-    What still grows with the replication: the draws, 4.8 MB (N*d
-    doubles); the residual row, 1.2 MB (N); the fit's values, their solve
-    copies and its coefficients, about 5 MB (n0*10^4 doubles, 1.2 MB each);
-    the contiguous (fit, cell) table, 1.2 MB.  Each tile of 2^13 samples
-    adds its points, design matrix and gathered coefficients, about
-    2^13*n0 doubles (1 MB) each.  That is about 15 MB; the whole
-    replication at once peaked at 49.3 MB."""
+    What still grows with the replication: the residual row, 1.2 MB (N),
+    and the fold's copy of it; the fit's values and coefficients, 1.2 MB
+    each (n0*10^4 doubles).  Each tile of 2^13 samples adds its draws,
+    points, design matrix and gathered coefficients, about 2^13*n0 doubles
+    (1 MB) each.  That is about 8 MB, and 5.2 MB was measured; the whole
+    replication at once peaked at 49.3 MB, and with the whole draw block
+    but tiles, at 9.7 MB."""
     f = bump(BumpSpec(s=2, d=4, p=1.0, sigma=0.45, center=(0.5,) * 4))
     cfg = EstimatorConfig(method=Method.CV, s=3, m=10, seed=3)
     run(f, cfg)  # caches (node set, cell indices) outside the trace
@@ -542,6 +578,37 @@ def test_cv_memory_is_bounded_by_tiles():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("method", [Method.SCV, Method.CV])
+def test_draws_are_bounded_by_one_tile(method):
+    """One `run` on the benchmark's 4-d bump at s=3, m=16 (n0 = 15, 65,536
+    cells; SCV and CV draw N = 983,040 points) peaks, traced, below what
+    still grows with m^d plus one tile, so no stack holds its whole sample
+    block (N*d doubles, 31.5 MB):
+    - the fit: its values and coefficients, n0 doubles per cell each
+      (7.9 MB), and its means, one per cell;
+    - one value per cell (SCV's cell terms) or per sample (CV's residuals),
+      twice: the one fold copies it;
+    - one tile of 2^13 points, each with at most 4*d doubles of draws and
+      located points, n0 design-matrix entries, n0 gathered coefficients
+      and 8 more values.
+    That is 20.8 MB for SCV and 35.5 MB for CV."""
+    s, d, m = 3, 4, 16
+    f = bump(BumpSpec(s=2, d=d, p=1.0, sigma=0.45, center=(0.5,) * d))
+    n0, cells = poly_dim(s, d), m**d
+    per_item = cells if method is Method.SCV else n0 * cells
+    bound = 8 * (2 * n0 * cells + cells + 2 * per_item + estimators._BLOCK_POINTS * (4 * d + 2 * n0 + 8))
+    cfg = EstimatorConfig(method=method, s=s, m=m, seed=3)
+    subcube_indices(m, d)  # cached outside the trace, with the node set
+    estimators._regular(s, d)
+    tracemalloc.start()
+    try:
+        run(f, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def test_run_dispatches_all_methods():

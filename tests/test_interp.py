@@ -182,3 +182,18 @@ def test_solve_recovers_random_polynomials(s, d):
         coeffs = rng.uniform(-1, 1, (*solver.points.shape[:-2], len(solver), 3))
         values = np.swapaxes(solver.matrix @ coeffs, -1, -2)  # one row per polynomial
         assert np.abs(solver.solve(values) - np.swapaxes(coeffs, -1, -2)).max() < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("s", [1, 3])
+def test_solve_into_out_keeps_the_bits(s, d):
+    """With `out`, solve writes its coefficients there, with the bits it
+    returns without, for the regular node set and a stack of shifted ones,
+    into a half of a larger C-ordered block as the estimators' fit does."""
+    rng = np.random.default_rng(s * 10 + d)
+    for points in _node_sets(s, d):
+        solver = LocalInterpolator(points, s)
+        values, out = rng.standard_normal((2, *solver.points.shape[:-2], 40, len(solver)))
+        expected = solver.solve(values)
+        assert solver.solve(values, out=out) is out
+        assert out.tobytes() == expected.tobytes()
