@@ -221,27 +221,25 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None, t
     product change bits with their row count, so neither is tiled.  Every
     method gets (solver, coeffs, means): coeffs C-ordered of shape (R or 1,
     m^d, n0), one row per (fit, cell), and means = coeffs @ moments, each
-    cell's exact interpolant mean.  The shared fit's node values and
-    coefficients are the two halves of one array.  glibc returns freed heap
-    memory to the system above a trim threshold that follows the largest
-    block freed: as two arrays, made and freed by every ensemble, they would
-    be trimmed after each call and paged back in on the next (thousands of
-    page faults per ``grid-large-m`` chunk); one block twice their size
-    keeps a call's arrays resident.  A shifted stack's fit, made once per
-    stack, stays two arrays: as one block, stacks of the ``tails``
-    campaign's size ran slower.
+    cell's exact interpolant mean.  The node values and coefficients are
+    the two halves of one array.  As two arrays they were the largest blocks
+    a call frees, and glibc's trim threshold, which follows the largest
+    block freed, fell below a call's footprint: each call's arrays were
+    returned to the system and paged back in on the next.  The one block
+    kept ``grid-large-m`` at the parent's faults; it is a layout, not a
+    bound on them (a process running one configuration alone still pages
+    a call's arrays back in).
     """
     solver = _regular(cfg.s, f.dim)
     if shifts is not None:
         solver = LocalInterpolator(shifted_nodes(solver.points, shifts), cfg.s)
-    fits = 1 if shifts is None else len(shifts)
-    values, *out = np.empty((1 + (shifts is None), fits, cfg.m**f.dim, len(solver)))
+    values, out = np.empty((2, 1 if shifts is None else len(shifts), cfg.m**f.dim, len(solver)))
 
     def fill(tile):  # elementwise, into a slice no other tile writes
         values[:, tile] = _in_cells(f, cfg.m, solver.points[..., None, :, :], tile)
 
     list(tile_map(fill, _tiles(values.shape[1], len(values) * len(solver))))
-    coeffs = solver.solve(values, *out)
+    coeffs = solver.solve(values, out)
     return solver, coeffs, coeffs @ solver.moments
 
 
@@ -392,27 +390,26 @@ def _estimates(f: Integrand, cfg: EstimatorConfig, fit, keys: np.ndarray) -> np.
     gen = np.random.Generator(np.random.Philox(0))
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    rows, held = keys.tolist(), [0, 0]  # only this stack's keys become ints
+    rows = keys.tolist()  # only this stack's keys become ints
     width = n_shift + tiles[0].stop * size  # the shifts and the first tile
     # a later tile's span may start 3 doubles into its counter's block
     buf = np.empty((len(rows), width + 3 * (len(tiles) > 1)))
 
     def draw(lo, hi):  # doubles [lo, hi) of every row, as columns of buf
-        if not held[0] <= lo <= hi <= held[1]:  # else drawn with the shifts
-            held[:] = lo - lo % 4, hi
-            state["state"]["counter"][0] = lo // 4
-            for row, key in zip(buf[:, : hi - held[0]], rows):
-                state["state"]["key"] = key
-                gen.bit_generator.state = state
-                gen.random(out=row)
-        return buf[:, lo - held[0] : hi - held[0]]
+        state["state"]["counter"][0] = lo // 4
+        for row, key in zip(buf[:, : hi - lo + lo % 4], rows):
+            state["state"]["key"] = key
+            gen.bit_generator.state = state
+            gen.random(out=row)
+        return buf[:, lo % 4 : hi - lo + lo % 4]
 
+    first = draw(0, width)
     if n_shift:
-        fit = _fit(f, cfg, draw(0, width)[:, :n_shift])
+        fit = _fit(f, cfg, first[:, :n_shift])
     body = _stratified if cell_wise else _whole_cube
     return body(f, cfg, fit, shape, (
-        (t, draw(n_shift + t.start * size, n_shift + t.stop * size).reshape(len(rows), -1, *item))
-        for t in tiles))
+        (t, (draw(n_shift + t.start * size, n_shift + t.stop * size) if t.start
+             else first[:, n_shift:]).reshape(len(rows), -1, *item)) for t in tiles))
 
 
 def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np.ndarray:

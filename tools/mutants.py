@@ -54,10 +54,10 @@ MUTANTS = [
     Mutant(_EST, "_rounded_sums(resid.reshape(reps, k, n1)) / n1",
            "_rounded_sums(resid.reshape(reps, k, n1)[..., 1:]) / (n1 - 1)",
            "CV's group means read every sample of the budget"),
-    Mutant(_EST, "for row, key in zip(buf[:, : hi - held[0]], rows):",
-           "for row, key in zip(buf[:, : hi - held[0]], rows[:1] * len(rows)):",
+    Mutant(_EST, "for row, key in zip(buf[:, : hi - lo + lo % 4], rows):",
+           "for row, key in zip(buf[:, : hi - lo + lo % 4], rows[:1] * len(rows)):",
            "each replication reads its own stream, whatever its stack"),
-    Mutant(_EST, "held[:] = lo - lo % 4, hi", "held[:] = lo, hi",
+    Mutant(_EST, "return buf[:, lo % 4 : hi - lo + lo % 4]", "return buf[:, : hi - lo]",
            "a tile starting inside a Philox block drops the block's leading doubles"),
     Mutant(_EST, 'state["state"]["counter"][0] = lo // 4', 'state["state"]["counter"][0] = 0',
            "each tile is drawn at its own counter offset"),
