@@ -10,8 +10,9 @@ the whole cube; CV+MoM replaces the residual mean by a median of group means.
 
 Reproducibility contract: each estimate's draws are one row (shift first,
 then one sample block) of a counter-based (Philox) stream keyed by a hash
-of its 64-bit seed, read a tile at a time at each tile's counter offset,
-so a stack holds at most one tile of draws.  Subcubes are traversed in
+of its 64-bit seed.  Each row is keyed once and read in order; only a
+one-replication stack has later tiles, so a stack holds at most one tile
+of draws.  Subcubes are traversed in
 lexicographic index order, and each sum over samples (those of an SCV cell
 or of a CV or CV+MoM group) or over the m^d cells is one fixed pairwise
 fold, :func:`_rounded_sums`, the one reduction in this module: none of
@@ -222,13 +223,9 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None, t
     method gets (solver, coeffs, means): coeffs C-ordered of shape (R or 1,
     m^d, n0), one row per (fit, cell), and means = coeffs @ moments, each
     cell's exact interpolant mean.  The node values and coefficients are
-    the two halves of one array.  As two arrays they were the largest blocks
-    a call frees, and glibc's trim threshold, which follows the largest
-    block freed, fell below a call's footprint: each call's arrays were
-    returned to the system and paged back in on the next.  The one block
-    kept ``grid-large-m`` at the parent's faults; it is a layout, not a
-    bound on them (a process running one configuration alone still pages
-    a call's arrays back in).
+    the two halves of one array, so that the largest block a call frees
+    keeps glibc's trim threshold, which follows it, above a call's
+    footprint (a layout, not a bound on page faults).
     """
     solver = _regular(cfg.s, f.dim)
     if shifts is not None:
@@ -366,20 +363,18 @@ def _estimates(f: Integrand, cfg: EstimatorConfig, fit, keys: np.ndarray) -> np.
 
     Replication r's draws are one row of its own stream: its node shift (d
     doubles, shifted mode only), then its sample block.  The row is never
-    made whole.  Each of the body's tiles (:func:`_tiles`: cells for SCV
-    and STRAT, samples for CV and CV+MoM) draws its span of every row into
-    one buffer that the stack owns and reuses, so the stack holds at most
-    one tile of draws, plus the shifts (and 3 doubles per row if it has
-    more than one tile).  Philox is counter-based, and double t of a stream
-    is double ``t % 4`` of the block at counter ``t // 4``: a span starting
-    at double t re-keys one reused Philox, from plain ints, which numpy's
-    setter reads faster than uint64 arrays, to that counter with an empty
-    buffer, and drops the first ``t % 4`` doubles it draws.  In shifted
-    mode the shifts and the first tile come from one call per replication,
-    before the stack is fitted on its shifts, so a stack of one tile makes
-    one call per replication in either mode.  `fit` is the shared fit of
-    deterministic mode (None for STRAT).  Each reduction runs once, on the
-    whole stack.
+    made whole.  Each row is keyed once, at counter 0, and read in order:
+    one reused Philox is keyed per row from plain ints (numpy's setter
+    reads them faster than uint64 arrays) and draws the row's shifts and
+    its span of the body's first tile (:func:`_tiles`: cells for SCV and
+    STRAT, samples for CV and CV+MoM) into one buffer that the stack owns.
+    Only a stack of one replication has later tiles: a stack of several
+    holds at most ``_BLOCK_POINTS`` sample points (:func:`_ensemble`),
+    which one tile takes whole.  Each later tile reads on from that row's
+    stream into the same buffer.  So the stack holds at most one tile of
+    draws, plus the shifts, on which it is fitted (shifted mode) before its
+    first tile runs.  `fit` is the shared fit of deterministic mode (None
+    for STRAT).  Each reduction runs once, on the whole stack.
     """
     shape = (len(keys), *_sample_shape(cfg, f.dim))
     n_shift = f.dim if cfg.interpolation_mode is SHIFTED and cfg.method is not Method.STRAT else 0
@@ -390,26 +385,17 @@ def _estimates(f: Integrand, cfg: EstimatorConfig, fit, keys: np.ndarray) -> np.
     gen = np.random.Generator(np.random.Philox(0))
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    rows = keys.tolist()  # only this stack's keys become ints
-    width = n_shift + tiles[0].stop * size  # the shifts and the first tile
-    # a later tile's span may start 3 doubles into its counter's block
-    buf = np.empty((len(rows), width + 3 * (len(tiles) > 1)))
-
-    def draw(lo, hi):  # doubles [lo, hi) of every row, as columns of buf
-        state["state"]["counter"][0] = lo // 4
-        for row, key in zip(buf[:, : hi - lo + lo % 4], rows):
-            state["state"]["key"] = key
-            gen.bit_generator.state = state
-            gen.random(out=row)
-        return buf[:, lo % 4 : hi - lo + lo % 4]
-
-    first = draw(0, width)
+    buf = np.empty((len(keys), n_shift + tiles[0].stop * size))  # the shifts and the first tile
+    for row, key in zip(buf, keys.tolist()):  # only this stack's keys become ints
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        gen.random(out=row)
     if n_shift:
-        fit = _fit(f, cfg, first[:, :n_shift])
+        fit = _fit(f, cfg, buf[:, :n_shift])
     body = _stratified if cell_wise else _whole_cube
     return body(f, cfg, fit, shape, (
-        (t, (draw(n_shift + t.start * size, n_shift + t.stop * size) if t.start
-             else first[:, n_shift:]).reshape(len(rows), -1, *item)) for t in tiles))
+        (t, (gen.random(out=buf[:1, : (t.stop - t.start) * size]) if t.start
+             else buf[:, n_shift:]).reshape(len(keys), -1, *item)) for t in tiles))
 
 
 def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np.ndarray:

@@ -456,18 +456,21 @@ def test_shifted_run_draws_shift_then_samples():
 
 
 @pytest.mark.parametrize("method,s,d,m,k", [
-    (Method.SCV, 2, 1, 3, 11), (Method.CV, 1, 3, 1, 11), (Method.CV_MOM, 2, 3, 2, 5)])
+    (Method.SCV, 2, 1, 3, 11), (Method.CV, 1, 3, 1, 11), (Method.CV_MOM, 2, 3, 2, 5),
+    (Method.STRAT, 2, 3, 3, 11)])
 def test_stack_draws_are_numpys_own_streams(monkeypatch, method, s, d, m, k):
-    """In one stack, replication r's draws are, bit for bit, numpy's own
-    stream for seed r, ``Generator(Philox(SeedSequence(seed))).random``:
-    its sample block (deterministic mode), or its shift and then its block
-    (shifted mode), as `_fit` and the method body receive them.  No row
-    length here is a multiple of 4, so each row leaves doubles in the
-    reused Philox's buffer that the next re-key must drop.  The stack runs
-    in one tile, and again with a tile per cell (SCV) or per sample (CV,
-    CV+MoM), drawn a tile at a time into one reused buffer; each tile, a
-    span [start, stop) of the row, is ``random(n)[start:stop]``, n the
-    row's length, and the tiles start at doubles of every residue mod 4."""
+    """Replication r's draws are, bit for bit, numpy's own stream for seed
+    r, ``Generator(Philox(SeedSequence(seed))).random``: its sample block
+    (deterministic mode), or its shift and then its block (shifted mode),
+    as `_fit` and the method body receive them, in both stack shapes that
+    `_ensemble` builds.  Six replications in one tile: no row length here
+    is a multiple of 4, so each row leaves doubles in the reused Philox's
+    buffer that the next re-key must drop.  One replication with a tile per
+    cell (SCV, STRAT) or per sample (CV, CV+MoM), each tile read on from the
+    row's stream into one reused buffer: each tile, a span [start, stop) of
+    the row, is ``random(n)[start:stop]``, n the row's length, and the
+    tiles start at doubles of every residue mod 4 (at d = 3, or at d = 1
+    over both modes)."""
     seeds = [0, 7, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1]  # one and two 32-bit words
     keys = estimators._philox_keys(np.array(seeds, dtype=np.uint64))
     seen = {}
@@ -481,27 +484,70 @@ def test_stack_draws_are_numpys_own_streams(monkeypatch, method, s, d, m, k):
                         else "_stratified", body)
     f = Integrand(lambda x: x[:, 0], dim=d)
     residues, tiled = set(), False
-    for (mode, n_shift), block in product(((DETERMINISTIC, 0), (SHIFTED, d)), (None, 1)):
+    for mode, block in product((DETERMINISTIC, SHIFTED), (None, 1)):
         monkeypatch.setattr(estimators, "_BLOCK_POINTS", block or _DEFAULT_BLOCK)
         cfg = EstimatorConfig(method=method, s=s, m=m, k=k, interpolation_mode=mode)
+        n_shift = d if mode is SHIFTED and method is not Method.STRAT else 0
         shape = estimators._sample_shape(cfg, d)
         n = n_shift + math.prod(shape)
         assert n % 4
-        estimators._estimates(f, cfg, None, keys)
-        size = math.prod(shape[1:]) if method is Method.SCV else d  # doubles per tile item
-        assert len(seen["tiles"]) == (1 if block is None else math.prod(shape) // size)
-        tiled |= len(seen["tiles"]) > 1  # CV at m = 1 draws one sample
-        for r, seed in enumerate(seeds):
-            row = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(n)
-            if n_shift:
-                assert seen["shifts"][r].tobytes() == row[:d].tobytes(), seed
-            for tile, ut in seen["tiles"]:
-                start, stop = n_shift + tile.start * size, n_shift + tile.stop * size
-                assert ut[r].tobytes() == row[start:stop].tobytes(), (mode, seed, tile)
-                residues.add(start % 4)
-            u = np.concatenate([ut[r].ravel() for _, ut in seen["tiles"]])
-            assert u.tobytes() == row[n_shift:].tobytes(), (mode, seed)
+        size = math.prod(shape[1:]) if method in (Method.SCV, Method.STRAT) else d  # doubles per tile item
+        stacks = [slice(0, 6)] if block is None else [slice(r, r + 1) for r in range(6)]
+        for stack in stacks:
+            estimators._estimates(f, cfg, None, keys[stack])
+            assert len(seen["tiles"]) == (1 if block is None else math.prod(shape) // size)
+            tiled |= len(seen["tiles"]) > 1  # CV at m = 1 draws one sample
+            for i, seed in enumerate(seeds[stack]):
+                row = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(n)
+                if n_shift:
+                    assert seen["shifts"][i].tobytes() == row[:d].tobytes(), seed
+                for tile, ut in seen["tiles"]:
+                    start, stop = n_shift + tile.start * size, n_shift + tile.stop * size
+                    assert ut[i].tobytes() == row[start:stop].tobytes(), (mode, seed, tile)
+                    residues.add(start % 4)
+                u = np.concatenate([ut[i].ravel() for _, ut in seen["tiles"]])
+                assert u.tobytes() == row[n_shift:].tobytes(), (mode, seed)
     assert residues == ({0, 1, 2, 3} if tiled else {0, d % 4})  # the one-tile starts: 0 and d
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    method=st.sampled_from(list(Method)),
+    mode=st.sampled_from([DETERMINISTIC, SHIFTED]),
+    s=st.integers(1, 3),
+    d=st.integers(1, 3),
+    m=st.integers(1, 4),
+    k=st.integers(1, 11),
+    reps=st.integers(1, 12),
+    block=st.one_of(st.integers(1, 2**9), st.integers(1, 2**20)),
+)
+@example(method=Method.SCV, mode=SHIFTED, s=2, d=2, m=2, k=1, reps=5, block=24)  # two to a stack
+@example(method=Method.CV, mode=DETERMINISTIC, s=2, d=2, m=2, k=1, reps=3, block=5)  # three tiles
+def test_a_stack_of_several_replications_is_read_in_one_tile(method, mode, s, d, m, k, reps, block):
+    """`_estimates` reads on from one generator for a stack's later tiles,
+    which is a row's own stream only if the stack holds that one row.  So
+    every stack that `_ensemble` hands to a method body either holds one
+    replication or comes in one tile, whatever the configuration and
+    ``_BLOCK_POINTS``; the body's tiles are counted as it reads them."""
+    k = min(k, poly_dim(s, d) * m**d)
+    cfg = EstimatorConfig(method=method, s=s, m=m, k=k, interpolation_mode=mode)
+    stacks = []
+
+    def counted(body):
+        def run_body(f, cfg, fit, shape, tiles):
+            read = []
+            values = body(f, cfg, fit, shape, (read.append(tile) or tile for tile in tiles))
+            stacks.append((shape[0], len(read)))
+            return values
+        return run_body
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_BLOCK_POINTS", block)
+        for name in ("_stratified", "_whole_cube"):
+            patch.setattr(estimators, name, counted(getattr(estimators, name)))
+        estimators._ensemble(random_poly(s, d, seed=s * 10 + d), cfg, np.arange(reps))
+    assert sum(rows for rows, _ in stacks) == reps
+    assert all(rows == 1 or tiles == 1 for rows, tiles in stacks), stacks
 
 
 def test_stratified_builds_no_interpolator():
@@ -546,8 +592,8 @@ def test_tiles_keep_every_bit(monkeypatch, s, d, m, method, k, mode):
     and the whole replication in one tile.  At n0 >= 6 a tiled collocation
     solve or moments product changes bits, so both stay whole.  At d = 3 a
     cell's or a sample's draws are not a multiple of 4 doubles, so tiles
-    start inside a Philox block, and each tile's draws must drop its
-    leading doubles."""
+    start inside a Philox block, and each later tile must read on from the
+    doubles its row's generator still holds."""
     f = bump(BumpSpec(s=2, d=d, p=1.0, sigma=0.45, center=(0.5,) * d))
     cfg = EstimatorConfig(method=method, s=s, m=m, k=k, interpolation_mode=mode)
     default = replicate(f, cfg, 3, master_seed=5).errors.tobytes()

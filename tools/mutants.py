@@ -54,13 +54,15 @@ MUTANTS = [
     Mutant(_EST, "_rounded_sums(resid.reshape(reps, k, n1)) / n1",
            "_rounded_sums(resid.reshape(reps, k, n1)[..., 1:]) / (n1 - 1)",
            "CV's group means read every sample of the budget"),
-    Mutant(_EST, "for row, key in zip(buf[:, : hi - lo + lo % 4], rows):",
-           "for row, key in zip(buf[:, : hi - lo + lo % 4], rows[:1] * len(rows)):",
+    Mutant(_EST, "for row, key in zip(buf, keys.tolist()):",
+           "for row, key in zip(buf, keys.tolist()[:1] * len(keys)):",
            "each replication reads its own stream, whatever its stack"),
-    Mutant(_EST, "return buf[:, lo % 4 : hi - lo + lo % 4]", "return buf[:, : hi - lo]",
-           "a tile starting inside a Philox block drops the block's leading doubles"),
-    Mutant(_EST, 'state["state"]["counter"][0] = lo // 4', 'state["state"]["counter"][0] = 0',
-           "each tile is drawn at its own counter offset"),
+    Mutant(_EST, "(gen.random(out=buf[:1, : (t.stop - t.start) * size]) if t.start",
+           "(buf[:1, : (t.stop - t.start) * size] if t.start",
+           "a later tile reads on from its row's stream"),
+    Mutant(_EST, "stacks = [keys[tile] for tile in _tiles(len(keys), points)]",
+           "stacks = [keys[tile] for tile in _tiles(len(keys), max(1, points // 3))]",
+           "a stack of several replications is read in one tile"),
     Mutant(_EST, "poly_dim(self.s, d) * self.m**d", "poly_dim(self.s, d) * self.m**d + 1",
            "the exact evaluation budget"),
     Mutant(_EST, "fit = _fit(f, cfg, tile_map=tile_map) if shared else None",
