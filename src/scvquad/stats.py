@@ -46,7 +46,6 @@ __all__ = [
     "tail_fraction",
     "UniformBounded",
     "Rademacher",
-    "Constant",
     "hoeffding_bound",
     "HoeffdingReport",
     "verify_hoeffding_p",
@@ -172,20 +171,37 @@ def tail_fraction(sample: ErrorSample, threshold: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the power-of-two scaling of every closed form
+
+
+def _downscaled(values) -> tuple[np.ndarray, int]:
+    """(`values` times 2^-e, e), with 2^e the power of two at or above every
+    |value|; e = 0 when all are 0, and when one is nan or inf, which every
+    caller rejects.  Each closed form that calls it is homogeneous of degree
+    one in its inputs, so it is computed on the scaled values, where no power
+    of a term can overflow, and its numbers are scaled back by ``math.ldexp``,
+    exactly: any finite input gives its numbers, and one beyond the largest
+    double raises OverflowError instead of reading inf."""
+    e = math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
+    return np.ldexp(values, -e), e
+
+
+# ---------------------------------------------------------------------------
 # bounded laws for the moment-bound verifier: each gives its exact L_q norm
 # and its second and fourth cumulants
 
 
 @dataclass(frozen=True)
 class UniformBounded:
-    """Uniform on [low, high], with low < high (a point mass is a :class:`Constant`)."""
+    """Uniform on [low, high], with low <= high: low == high is the point mass
+    at low, whose norm is |low| and whose cumulants are 0."""
 
     low: float
     high: float
 
     def __post_init__(self):
-        if not -math.inf < self.low < self.high < math.inf:  # also rejects nan
-            raise ValueError(f"need finite low < high, got [{self.low}, {self.high}]")
+        if not -math.inf < self.low <= self.high < math.inf:  # also rejects nan
+            raise ValueError(f"need finite low <= high, got [{self.low}, {self.high}]")
 
     def norm(self, q: float) -> float:
         """``(E|Z|^q)^(1/q)``, from the antiderivative ``x|x|^q/(q+1)`` of ``|x|^q``.
@@ -193,12 +209,20 @@ class UniformBounded:
         Where low and high share a sign, the two ends' terms would cancel, so
         with b the end farther from zero and w = high - low the moment is
         ``b^(q+1) * (1 - (1 - w/b)^(q+1)) / ((q+1) w)``, through ``expm1``
-        and ``log1p``."""
-        lo, hi, q1 = self.low, self.high, q + 1.0
+        and ``log1p``.  The norm is homogeneous of degree one, so it is
+        computed on the ends scaled by :func:`_downscaled`, where the farther
+        end lies in [1/2, 1) and no power of it overflows or underflows, and
+        scaled back."""
+        if self.low == self.high:
+            return abs(self.low)
+        e = _downscaled([self.low, self.high])[1]
+        lo, hi, q1 = math.ldexp(self.low, -e), math.ldexp(self.high, -e), q + 1.0
         if lo > 0.0 or hi < 0.0:
             b = max(hi, -lo)
-            return (b**q1 * -math.expm1(q1 * math.log1p((lo - hi) / b)) / (q1 * (hi - lo))) ** (1.0 / q)
-        return ((hi * abs(hi) ** q - lo * abs(lo) ** q) / (q1 * (hi - lo))) ** (1.0 / q)
+            moment = b**q1 * -math.expm1(q1 * math.log1p((lo - hi) / b)) / (q1 * (hi - lo))
+        else:
+            moment = (hi * abs(hi) ** q - lo * abs(lo) ** q) / (q1 * (hi - lo))
+        return math.ldexp(moment ** (1.0 / q), e)
 
     @property
     def cumulants(self) -> tuple[float, float]:
@@ -224,41 +248,11 @@ class Rademacher:
         return self.scale**2, -2.0 * self.scale**4
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Degenerate point mass."""
-
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"need a finite value, got {self.value}")
-
-    def norm(self, q: float) -> float:
-        return abs(self.value)
-
-    @property
-    def cumulants(self) -> tuple[float, float]:
-        return 0.0, 0.0
-
-
-_LAWS = (UniformBounded, Rademacher, Constant)
+_LAWS = (UniformBounded, Rademacher)
 
 
 # ---------------------------------------------------------------------------
 # p-norm Hoeffding verifier
-
-
-def _downscaled(values) -> tuple[np.ndarray, int]:
-    """(`values` times 2^-e, e), with 2^e the power of two at or above every
-    |value|; e = 0 when all are 0, and when one is nan or inf, which every
-    caller rejects.  Each closed form below is homogeneous of degree one in
-    its inputs, so it is computed on the scaled values, where no power of a
-    term can overflow, and its numbers are scaled back by ``math.ldexp``,
-    exactly: any finite input gives its numbers, and one beyond the largest
-    double raises OverflowError instead of reading inf."""
-    e = math.frexp(float(np.max(np.abs(values), initial=0.0)))[1]
-    return np.ldexp(values, -e), e
 
 
 def hoeffding_bound(p: float, b, delta: float) -> float:
@@ -359,15 +353,12 @@ class MZReport:
 def verify_mz(q: float, dists, label: str = "") -> MZReport:
     """Prove the moment bound for the mean of independent laws, 1 <= q <= 4.
 
-    `dists` holds one :class:`UniformBounded`, :class:`Rademacher` or
-    :class:`Constant` per summand.  By Lyapunov's inequality the left side
-    is at most the L_2 norm ``sqrt(K2)/n`` for q <= 2 and the L_4 norm
-    ``(K4 + 3 K2^2)^(1/4)/n`` above, from the summed second and fourth
+    `dists` holds one :class:`UniformBounded` (a point mass when its width
+    is 0) or :class:`Rademacher` per summand.  By Lyapunov's inequality the
+    left side is at most the L_2 norm ``sqrt(K2)/n`` for q <= 2 and the L_4
+    norm ``(K4 + 3 K2^2)^(1/4)/n`` above, from the summed second and fourth
     cumulants K2 and K4.  No draws.  Both sides are computed on the laws'
-    parameters, all scaled by one :func:`_downscaled` exponent.  A uniform
-    whose width vanishes at that scale (both ends some 2^1022 times below
-    the largest parameter) is read as the point it scales to, a
-    :class:`Constant`: that is all it adds there.
+    parameters, all scaled by one :func:`_downscaled` exponent.
     """
     c = mz_constant(q)  # ValueError unless q >= 1
     if q > 4.0:
@@ -378,9 +369,7 @@ def verify_mz(q: float, dists, label: str = "") -> MZReport:
     if not all(isinstance(law, _LAWS) for law in dists):
         raise TypeError(f"every law must be one of {', '.join(law.__name__ for law in _LAWS)}")
     e = _downscaled([v for law in dists for v in astuple(law)])[1]
-    scaled = [(type(law), [math.ldexp(v, -e) for v in astuple(law)]) for law in dists]
-    dists = [Constant(v[0]) if law is UniformBounded and v[0] == v[1] else law(*v)
-             for law, v in scaled]
+    dists = [type(law)(*(math.ldexp(v, -e) for v in astuple(law))) for law in dists]
     n = len(dists)
     qp = min(2.0, q)
     rhs = c / n * math.fsum(law.norm(q) ** qp for law in dists) ** (1.0 / qp)
@@ -427,7 +416,7 @@ def mz_default_suite() -> list[MZReport]:
             UniformBounded(0.0, 1.0),
             Rademacher(2.0),
             Rademacher(2.0),
-            Constant(0.5),
+            UniformBounded(0.5, 0.5),
         ],
         "single_rademacher": [Rademacher(1.0)],
         "asymmetric": [UniformBounded(-0.5, 1.5) for _ in range(16)],

@@ -233,29 +233,6 @@ def test_node_stack_rejects_one_degenerate_member():
         LocalInterpolator(stack, 2)
 
 
-def test_nodeset_rejects_degenerate_points():
-    repeated = [[0.2, 0.2], [0.2, 0.2], [0.4, 0.4]]
-    near = [[0.5], [0.5 + 1e-12]]  # rcond 4.0e-13: between RCOND_MIN and 1e-16
-    for pts in (repeated, near):
-        with pytest.raises(UnisolvenceError):
-            LocalInterpolator(np.array(pts), 2)
-
-
-def test_nodeset_rejects_points_outside_the_cube():
-    for bad in (1.5, -0.5, np.nan):
-        pts = regular_nodes(2, 2).copy()
-        pts[1, 0] = bad
-        with pytest.raises(ValueError, match="unit cube"):
-            LocalInterpolator(pts, 2)
-    with pytest.raises(ValueError, match="unit cube"):
-        LocalInterpolator(np.full((3, 2), np.nan), 2)
-
-
-def test_nodeset_rejects_wrong_cardinality():
-    with pytest.raises(ValueError):
-        LocalInterpolator(np.array([[0.0, 0.0], [1.0, 0.0]]), 2)
-
-
 def test_monomial_matrix_shape_and_values():
     exps = total_degree_exponents(2, 2)
     pts = np.array([[0.5, 0.25]])

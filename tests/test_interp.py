@@ -9,7 +9,7 @@ from scvquad.grid import (
     subcube_indices,
     total_degree_exponents,
 )
-from scvquad.interp import LocalInterpolator, monomial_means
+from scvquad.interp import LocalInterpolator, UnisolvenceError, monomial_means
 from scvquad.testbed import random_poly
 from scvquad.testbed import test_function_2d as make_benchmark
 
@@ -18,6 +18,29 @@ def _coefficient(solver, coeffs, alpha):
     """Coefficient of the monomial x^alpha in the solver's exponent order."""
     rows = [tuple(row) for row in solver.exponents]
     return coeffs[rows.index(tuple(alpha))]
+
+
+def test_interpolator_rejects_degenerate_points():
+    repeated = [[0.2, 0.2], [0.2, 0.2], [0.4, 0.4]]
+    near = [[0.5], [0.5 + 1e-12]]  # rcond 4.0e-13: between RCOND_MIN and 1e-16
+    for pts in (repeated, near):
+        with pytest.raises(UnisolvenceError):
+            LocalInterpolator(np.array(pts), 2)
+
+
+def test_interpolator_rejects_points_outside_the_cube():
+    for bad in (1.5, -0.5, np.nan):
+        pts = regular_nodes(2, 2).copy()
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="unit cube"):
+            LocalInterpolator(pts, 2)
+    with pytest.raises(ValueError, match="unit cube"):
+        LocalInterpolator(np.full((3, 2), np.nan), 2)
+
+
+def test_interpolator_rejects_wrong_cardinality():
+    with pytest.raises(ValueError):
+        LocalInterpolator(np.array([[0.0, 0.0], [1.0, 0.0]]), 2)
 
 
 def test_interpolate_constants():

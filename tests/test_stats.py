@@ -14,7 +14,6 @@ from scvquad.estimators import DETERMINISTIC, SHIFTED, EstimatorConfig, Method, 
 from scvquad.grid import poly_dim, regular_nodes, shifted_nodes
 from scvquad.interp import LocalInterpolator, UnisolvenceError
 from scvquad.stats import (
-    Constant,
     ErrorSample,
     Rademacher,
     UniformBounded,
@@ -656,21 +655,48 @@ def test_mz_q4_closed_forms(law, fourth):
     assert (report.rhs / 6.0) ** 4 == pytest.approx(fourth, rel=1e-12)
 
 
+def _exact_norm(low, high, q):
+    """U(low, high)'s L_q norm, by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(low), mpmath.mpf(high)
+        moment = (hi * abs(hi) ** q - lo * abs(lo) ** q) / ((q + 1) * (hi - lo))
+        return float(moment ** (1 / mpmath.mpf(q)))
+
+
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0])
 @pytest.mark.parametrize("low,high", [(1.0, 1.0 + 1e-8), (-1.0 - 1e-8, -1.0)],
                          ids=["positive", "negative"])
 def test_uniform_norm_on_narrow_intervals(low, high, q):
     # away from zero the two ends' antiderivatives nearly cancel; against
     # mpmath at 50 digits, to 1e-15 relative
-    with mpmath.workdps(50):
-        lo, hi = mpmath.mpf(low), mpmath.mpf(high)
-        moment = (hi * abs(hi) ** q - lo * abs(lo) ** q) / ((q + 1) * (hi - lo))
-        exact = float(moment ** (1 / mpmath.mpf(q)))
-    assert UniformBounded(low, high).norm(q) == pytest.approx(exact, rel=1e-15, abs=0)
+    assert UniformBounded(low, high).norm(q) == pytest.approx(_exact_norm(low, high, q), rel=1e-15, abs=0)
+
+
+def test_uniform_norm_far_from_one():
+    """A finite interval near 1e300 or 1e-300 gives its norm, to 1e-15
+    relative against mpmath at 50 digits: no power overflows or underflows."""
+    intervals = [(lo * scale, hi * scale) for scale in (1e300, 1e-300)
+                 for lo, hi in [(0.0, 1.0), (-1.0, 0.0), (-1.0, 1.7), (1.0, 1.5), (-1.5, -1.0)]]
+    for low, high in intervals:
+        for q in (1.0, 1.5, 2.0, 3.0, 4.0):
+            exact = _exact_norm(low, high, q)
+            assert UniformBounded(low, high).norm(q) == pytest.approx(exact, rel=1e-15, abs=0), (low, high, q)
+
+
+@pytest.mark.parametrize("c", [0.7, -0.2, 0.0, -0.0], ids=["0.7", "-0.2", "0.0", "-0.0"])
+def test_zero_width_uniform_is_a_point_mass(c):
+    """U(c, c) has norm |c| and cumulants 0 at every q; one ulp of width
+    moves the norm by at most 1e-15 relative (at c = 0, by at most that
+    ulp)."""
+    point, ulp_wide = UniformBounded(c, c), UniformBounded(c, math.nextafter(c, math.inf))
+    assert point.cumulants == (0.0, 0.0)
+    for q in (1.0, 1.5, 2.0, 3.0, 4.0):
+        assert point.norm(q) == abs(c)
+        assert ulp_wide.norm(q) == pytest.approx(abs(c), rel=1e-15, abs=math.ulp(0.0))
 
 
 def test_mz_degenerate_constants():
-    report = verify_mz(3.0, [Constant(0.7), Constant(-0.2)])
+    report = verify_mz(3.0, [UniformBounded(0.7, 0.7), UniformBounded(-0.2, -0.2)])
     assert report.lhs == 0.0
     assert report.rhs > 0.0
     assert report.holds
@@ -694,22 +720,23 @@ def test_mz_holds_across_q(q):
             elif kind == 1:
                 dists.append(Rademacher(float(rng.uniform(0.2, 2))))
             else:
-                dists.append(Constant(float(rng.uniform(-1, 1))))
+                c = float(rng.uniform(-1, 1))
+                dists.append(UniformBounded(c, c))
         report = verify_mz(q, dists)
         assert report.holds and report.rhs >= 2.0 * (1.0 - 1e-12) * report.lhs, dists
 
 
 def test_mz_validation():
     with pytest.raises(ValueError):
-        verify_mz(0.5, [Constant(1.0)])
+        verify_mz(0.5, [UniformBounded(1.0, 1.0)])
     with pytest.raises(ValueError):
         verify_mz(2.0, [])
     with pytest.raises(ValueError, match="need q <= 4"):
-        verify_mz(math.nextafter(4.0, 5.0), [Constant(1.0)])
+        verify_mz(math.nextafter(4.0, 5.0), [UniformBounded(1.0, 1.0)])
     with pytest.raises(TypeError, match="every law must be one of"):
         verify_mz(2.0, [Rademacher(1.0), 0.5])
-    with pytest.raises(ValueError, match="need finite low < high"):
-        UniformBounded(0.3, 0.3)
+    with pytest.raises(ValueError, match="need finite low <= high"):
+        UniformBounded(0.3, 0.2)
 
 
 def test_closed_forms_take_large_finite_inputs():
@@ -735,7 +762,7 @@ def test_closed_forms_take_large_finite_inputs():
     assert (report.lhs, report.rhs) == (0.5e74, 1e74)
     narrow = UniformBounded(1e-10, 1e-10 + 1e-25)  # both ends to one subnormal
     assert math.ldexp(narrow.low, -997) == math.ldexp(narrow.high, -997) > 0.0
-    assert verify_mz(2.0, [Rademacher(1e300), narrow]) == verify_mz(2.0, [Rademacher(1e300), Constant(1e-10)])
+    assert verify_mz(2.0, [Rademacher(1e300), narrow]) == verify_mz(2.0, [Rademacher(1e300), UniformBounded(1e-10, 1e-10)])
     with pytest.raises(OverflowError):  # beyond the largest double: never a silent inf
         hoeffding_bound(1.5, [1e308], 1e-10)
 
@@ -789,8 +816,8 @@ def test_count_checks_keep_their_lower_bounds():
 @pytest.mark.parametrize("make", [
     lambda: Rademacher(math.nan),
     lambda: Rademacher(math.inf),
-    lambda: Constant(math.nan),
-    lambda: Constant(-math.inf),
+    lambda: UniformBounded(math.nan, math.nan),
+    lambda: UniformBounded(-math.inf, -math.inf),
     lambda: UniformBounded(0.0, math.inf),
     lambda: UniformBounded(-math.inf, 0.0),
 ], ids=["rademacher-nan", "rademacher-inf", "constant-nan", "constant-inf",

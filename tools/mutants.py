@@ -98,8 +98,10 @@ MUTANTS = [
     Mutant(_STATS, "lhs = (math.sqrt(k2) if q <= 2.0 else (k4 + 3.0 * k2**2) ** 0.25) / n",
            "lhs = math.sqrt(k2) / n",
            "the moment bound's left side above q = 2"),
-    Mutant(_STATS, "v[0] == v[1] else law(*v)", "v[0] is None else law(*v)",
-           "a uniform that loses its width at the common scale is its point"),
+    Mutant(_STATS, "return abs(self.low)", "return self.low",
+           "a zero-width uniform's norm is the point's absolute value"),
+    Mutant(_STATS, "return math.ldexp(moment ** (1.0 / q), e)", "return moment ** (1.0 / q)",
+           "a uniform's norm is scaled back from its own power-of-two scale"),
 ]
 
 
