@@ -25,10 +25,10 @@ elementwise operations, per-matrix products and reductions within a
 replication's rows touch them.  So an estimate has the same bits alone
 (:func:`run`) or stacked with thousands, in one tile of points or many,
 whatever the worker count.  :func:`_ensemble`, the one path for both, fits
-once (deterministic mode), hashes every key once and cuts the key rows
-into stacks by their size alone; the shared fit's node tiles and then the
-stacks run on one pool of ``min(workers, max(fit tiles, stacks))``
-threads, started only when that is more than one.
+once (deterministic mode) on the calling thread, hashes every key once and
+cuts the key rows into stacks by their size alone; the stacks, and only
+they, run on one pool of ``min(workers, stacks)`` threads, started only
+when that is more than one.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def _in_cells(f: Integrand, m: int, local: np.ndarray, cells: slice) -> np.ndarr
     return f(x.reshape(-1, f.dim)).reshape(-1, *x.shape[-3:-1])
 
 
-def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None, tile_map=map):
+def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None):
     """Interpolate f on every subcube at once (SCV, CV and CV+MoM; STRAT has
     no fit).  The budget is :func:`_ensemble`'s to check, before any call.
 
@@ -214,9 +214,8 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None, t
     node set (shifted mode); without, one fit of the regular nodes serves
     every seed (a stack of one).  Evaluates f at the node sets mapped into
     every cell (node order within each cell), in tiles of at most
-    ``_BLOCK_POINTS`` nodes, each filled through `tile_map` (the ensemble's
-    pool's ``map`` for the shared fit, see :func:`_ensemble`): a tile is
-    elementwise and writes its own slice, so any map keeps the bits.  It
+    ``_BLOCK_POINTS`` nodes, one after another on the calling thread:
+    :func:`_ensemble`'s for the shared fit, its stack's for a shifted fit.  It
     solves each collocation system against all its value rows at once, by
     one product with the node set's inverse: that product and the moments
     product change bits with their row count, so neither is tiled.  Every
@@ -231,11 +230,8 @@ def _fit(f: Integrand, cfg: EstimatorConfig, shifts: np.ndarray | None = None, t
     if shifts is not None:
         solver = LocalInterpolator(shifted_nodes(solver.points, shifts), cfg.s)
     values, out = np.empty((2, 1 if shifts is None else len(shifts), cfg.m**f.dim, len(solver)))
-
-    def fill(tile):  # elementwise, into a slice no other tile writes
+    for tile in _tiles(values.shape[1], len(values) * len(solver)):
         values[:, tile] = _in_cells(f, cfg.m, solver.points[..., None, :, :], tile)
-
-    list(tile_map(fill, _tiles(values.shape[1], len(values) * len(solver))))
     coeffs = solver.solve(values, out)
     return solver, coeffs, coeffs @ solver.moments
 
@@ -265,16 +261,19 @@ def _rounded_sums(x: np.ndarray) -> np.ndarray:
     Each step adds the top half of a row's terms onto its bottom half (an odd
     count keeps its middle term), elementwise across rows, so a row's bits
     depend on that row alone, whatever the stack.  The error is at most
-    ``ceil(log2 n) * 2^-53 * sum|x|`` (Higham 2002, §4.2).  The terms start from
-    ``x + 0.0``, so a sum is never -0.0; a sum that overflows is ±inf or nan,
-    which :func:`_ensemble` rejects.
+    ``ceil(log2 n) * 2^-53 * sum|x|`` (Higham 2002, §4.2).  The bottom half
+    starts from ``x + 0.0``, so a sum is never -0.0; a sum that overflows is
+    ±inf or nan, which :func:`_ensemble` rejects.  The first step reads its
+    top half straight from `x`, so the fold holds half a copy of `x`, not a
+    whole one; ``(a + 0.0) + b`` has the bits of ``(a + 0.0) + (b + 0.0)``.
     """
     n = x.shape[-1]
-    buf = np.add(x.reshape(-1, n).T, 0.0, order="C")  # (n, rows)
+    src = x.reshape(-1, n).T  # (n, rows): a view of x, then buf from the second step on
+    buf = np.add(src[: (n + 1) // 2], 0.0, order="C")
     with np.errstate(over="ignore", invalid="ignore"):
         while n > 1:  # an odd n keeps its middle term
-            buf[: n // 2] += buf[(n + 1) // 2 : n]
-            n = (n + 1) // 2
+            buf[: n // 2] += src[(n + 1) // 2 : n]
+            n, src = (n + 1) // 2, buf
     return buf[0].reshape(x.shape[:-1])
 
 
@@ -403,30 +402,25 @@ def _ensemble(f: Integrand, cfg: EstimatorConfig, seeds, workers: int = 1) -> np
 
     Checks the budget first, by :func:`_sample_shape` (BudgetError before
     any evaluation), the one check for both modes.  Fits once in
-    deterministic mode (STRAT gets None) and hashes all the Philox keys at
-    once into one (R, 2) uint64 array.  The stack rule: its rows are cut by
-    :func:`_tiles` into stacks of at most ``_BLOCK_POINTS`` sample points
-    and at least one replication, by size alone, so every worker count runs
-    the same stacks.  The pool rule: ``threads = min(workers, max(fit
-    tiles, stacks))``, counting the shared fit's node tiles (none in shifted
-    mode or for STRAT), and a pool of that many threads starts only when
-    ``threads > 1``; else everything runs on the calling thread.  The shared
-    fit's tiles run on the pool first, then :func:`_estimates` runs the
-    stacks on it.  A shifted-mode fit runs inside its stack's own worker
-    and never maps onto the pool, where a task waiting on tasks queued
-    behind it could deadlock.  ValueError if an estimate is not finite (a
-    sum overflowed).
+    deterministic mode, on the calling thread (STRAT gets None), and hashes
+    all the Philox keys at once into one (R, 2) uint64 array.  The stack
+    rule: its rows are cut by :func:`_tiles` into stacks of at most
+    ``_BLOCK_POINTS`` sample points and at least one replication, by size
+    alone, so every worker count runs the same stacks.  The pool rule:
+    ``threads = min(workers, stacks)``, and a pool of that many threads
+    starts only when ``threads > 1``; else every stack runs on the calling
+    thread.  The pool runs whole stacks only, each by :func:`_estimates`
+    (a shifted-mode fit inside its own stack).  ValueError if an estimate
+    is not finite (a sum overflowed).
     """
     points = math.prod(_sample_shape(cfg, f.dim)[:-1])
-    shared = cfg.interpolation_mode is DETERMINISTIC and cfg.method is not Method.STRAT
+    fit = None if cfg.interpolation_mode is SHIFTED or cfg.method is Method.STRAT else _fit(f, cfg)
     keys = _philox_keys(seeds)
     stacks = [keys[tile] for tile in _tiles(len(keys), points)]
-    fit_tiles = len(_tiles(cfg.m**f.dim, poly_dim(cfg.s, f.dim))) if shared else 0  # as _fit's
-    threads = min(workers, max(fit_tiles, len(stacks)))
+    estimate = partial(_estimates, f, cfg, fit)
+    threads = min(workers, len(stacks))
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        tile_map = pool.map if pool else map
-        fit = _fit(f, cfg, tile_map=tile_map) if shared else None
-        values = np.concatenate(list(tile_map(partial(_estimates, f, cfg, fit), stacks)))
+        values = np.concatenate(list((pool.map if pool else map)(estimate, stacks)))
     if not np.isfinite(values).all():
         raise ValueError(f"{cfg.method.value} at s={cfg.s}, m={cfg.m} gave a non-finite estimate")
     return values

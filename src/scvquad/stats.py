@@ -158,9 +158,7 @@ def histogram(sample: ErrorSample, bins: int) -> list[tuple[float, float, int]]:
     if lo == hi:
         return [(lo, hi, sample.R)]
     counts, edges = np.histogram(errors, bins=bins, range=(lo, hi))
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)
-    ]
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
 def tail_fraction(sample: ErrorSample, threshold: float) -> float:
@@ -191,6 +189,13 @@ def _downscaled(values) -> tuple[np.ndarray, int]:
 # and its second and fourth cumulants
 
 
+def _check_q(q: float) -> None:
+    """The one rule for a moment order q, of every norm and of
+    :func:`mz_constant`: ValueError unless q >= 1."""
+    if not q >= 1.0:  # also rejects nan
+        raise ValueError(f"need q >= 1, got q={q}")
+
+
 @dataclass(frozen=True)
 class UniformBounded:
     """Uniform on [low, high], with low <= high: low == high is the point mass
@@ -212,7 +217,8 @@ class UniformBounded:
         and ``log1p``.  The norm is homogeneous of degree one, so it is
         computed on the ends scaled by :func:`_downscaled`, where the farther
         end lies in [1/2, 1) and no power of it overflows or underflows, and
-        scaled back."""
+        scaled back.  ValueError unless q >= 1."""
+        _check_q(q)
         if self.low == self.high:
             return abs(self.low)
         e = _downscaled([self.low, self.high])[1]
@@ -241,6 +247,8 @@ class Rademacher:
             raise ValueError(f"need a finite scale, got {self.scale}")
 
     def norm(self, q: float) -> float:
+        """``|scale|`` at every order q; ValueError unless q >= 1."""
+        _check_q(q)
         return abs(self.scale)
 
     @property
@@ -322,8 +330,7 @@ def verify_hoeffding_p(p: float, b, delta: float, label: str = "") -> HoeffdingR
 
 def mz_constant(q: float) -> float:
     """Usable (not optimal) constant: ``2^(1+1/q)`` for q <= 2, ``2(q-1)`` above."""
-    if not q >= 1.0:  # also rejects nan
-        raise ValueError(f"need q >= 1, got q={q}")
+    _check_q(q)
     return 2.0 ** (1.0 + 1.0 / q) if q < 2.0 else 2.0 * (q - 1.0)
 
 

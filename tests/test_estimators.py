@@ -608,12 +608,13 @@ def test_cv_memory_is_bounded_by_tiles():
     """One CV `run` on the benchmark's 4-d bump at s=3, m=10 (n0 = 15, 10^4
     cells, N = 1.5*10^5 samples) peaks below 20 MB (10^6 bytes) traced.
     What still grows with the replication: the residual row, 1.2 MB (N),
-    and the fold's copy of it; the fit's values and coefficients, 1.2 MB
-    each (n0*10^4 doubles).  Each tile of 2^13 samples adds its draws,
-    points, design matrix and gathered coefficients, about 2^13*n0 doubles
-    (1 MB) each.  That is about 8 MB, and 5.2 MB was measured; the whole
-    replication at once peaked at 49.3 MB, and with the whole draw block
-    but tiles, at 9.7 MB."""
+    and the fold's copy of half of it, 0.6 MB; the fit's values and
+    coefficients, 1.2 MB each (n0*10^4 doubles).  Each tile of 2^13 samples
+    adds its draws, points, design matrix and gathered coefficients, about
+    2^13*n0 doubles (1 MB) each.  That is about 8 MB, and 6.4 MB was
+    measured, at a tile, so a fold that copies its whole input reads the
+    same; the whole replication at once peaked at 49.3 MB, and with the
+    whole draw block but tiles, at 9.7 MB."""
     f = bump(BumpSpec(s=2, d=4, p=1.0, sigma=0.45, center=(0.5,) * 4))
     cfg = EstimatorConfig(method=Method.CV, s=3, m=10, seed=3)
     run(f, cfg)  # caches (node set, cell indices) outside the trace
@@ -635,16 +636,17 @@ def test_draws_are_bounded_by_one_tile(method):
     - the fit: its values and coefficients, n0 doubles per cell each
       (7.9 MB), and its means, one per cell;
     - one value per cell (SCV's cell terms) or per sample (CV's residuals),
-      twice: the one fold copies it;
+      and half as many again: the one fold copies half of them;
     - one tile of 2^13 points, each with at most 4*d doubles of draws and
       located points, n0 design-matrix entries, n0 gathered coefficients
       and 8 more values.
-    That is 20.8 MB for SCV and 35.5 MB for CV."""
+    That is 20.6 MB for SCV and 31.6 MB for CV.  A fold that copies its
+    whole input peaks at 33.6 MB for CV and fails it."""
     s, d, m = 3, 4, 16
     f = bump(BumpSpec(s=2, d=d, p=1.0, sigma=0.45, center=(0.5,) * d))
     n0, cells = poly_dim(s, d), m**d
     per_item = cells if method is Method.SCV else n0 * cells
-    bound = 8 * (2 * n0 * cells + cells + 2 * per_item + estimators._BLOCK_POINTS * (4 * d + 2 * n0 + 8))
+    bound = 8 * (2 * n0 * cells + cells + 3 * per_item // 2 + estimators._BLOCK_POINTS * (4 * d + 2 * n0 + 8))
     cfg = EstimatorConfig(method=method, s=s, m=m, seed=3)
     subcube_indices(m, d)  # cached outside the trace, with the node set
     estimators._regular(s, d)

@@ -179,51 +179,59 @@ def test_stacks_are_cut_by_size_alone(monkeypatch, full):
 
 @pytest.mark.parametrize("R", [1, 3])  # one stack; three stacks of one replication
 @pytest.mark.parametrize("case", ["scv-d2-m64", "cv-bump-d4-m10"])
-def test_shared_fit_tiles_run_on_the_pool(monkeypatch, case, R):
-    """The shared fit's node tiles run on the ensemble's pool, before its
-    stacks: at 1, 2 and 3 workers the errors keep their bits, the ensemble
-    spends the fit's nodes once plus R sample blocks, and a pool is built
-    only when min(workers, max(fit tiles, stacks)) > 1, with that many
-    threads, and runs every fit tile and every stack.  The threads switch
-    every 10 us, so a lost write to the fit's values or to the evaluation
+def test_shared_fit_runs_before_the_pool(monkeypatch, case, R):
+    """The shared fit runs on the calling thread, and returns before any
+    pool is built; the pool runs whole stacks only.  At 1, 2 and 3 workers
+    the errors keep their bits, the ensemble spends the fit's nodes once
+    plus R sample blocks, and a pool is built only when min(workers, R) > 1,
+    with that many threads, and is handed exactly the R stacks.  The
+    threads switch every 10 us, so a lost update of the shared evaluation
     counter would show."""
-    if case == "scv-d2-m64":  # 4,096 cells of 3 nodes, in 2 tiles
-        make, d, tiles = make_benchmark, 2, 2
+    if case == "scv-d2-m64":  # 4,096 cells of 3 nodes, in 2 node tiles
+        make, d = make_benchmark, 2
         cfg = EstimatorConfig(method=Method.SCV, s=2, m=64)
-    else:  # 10^4 cells of 15 nodes, in 19 tiles
+    else:  # 10^4 cells of 15 nodes, in 19 node tiles
         spec = BumpSpec(s=2, d=4, p=1.0, sigma=0.45, center=(0.5,) * 4)
-        make, d, tiles = partial(bump, spec), 4, 19
+        make, d = partial(bump, spec), 4
         cfg = EstimatorConfig(method=Method.CV, s=3, m=10)
     nodes = poly_dim(cfg.s, d) * cfg.m**d
     points = math.prod(estimators._sample_shape(cfg, d)[:-1])
     assert points > estimators._BLOCK_POINTS  # one replication per stack
-    pools, tasks = [], []
+    events, tasks = [], []
+    fit = estimators._fit
+
+    def recording_fit(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        events.append("fit returned")
+        return result
 
     class RecordingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            events.append(("pool", max_workers))
             super().__init__(max_workers=max_workers)
 
         def submit(self, fn, *args, **kwargs):
             tasks.append(fn)
             return super().submit(fn, *args, **kwargs)
 
+    monkeypatch.setattr(estimators, "_fit", recording_fit)
     monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         base = None
         for workers in (1, 2, 3):
-            pools.clear()
+            events.clear()
             tasks.clear()
             f = make()
             errors = replicate(f, cfg, R, 12, workers=workers).errors
             base = errors if base is None else base
             assert errors.tobytes() == base.tobytes(), workers
             assert f.evals == nodes + R * points, workers
-            threads = min(workers, max(tiles, R))
-            assert pools == ([threads] if threads > 1 else []), workers
-            assert len(tasks) == (tiles + R if threads > 1 else 0), workers
+            threads = min(workers, R)
+            pools = [("pool", threads)] if threads > 1 else []
+            assert events == ["fit returned", *pools], workers
+            assert len(tasks) == (R if threads > 1 else 0), workers
     finally:
         sys.setswitchinterval(interval)
 
@@ -693,6 +701,20 @@ def test_zero_width_uniform_is_a_point_mass(c):
     for q in (1.0, 1.5, 2.0, 3.0, 4.0):
         assert point.norm(q) == abs(c)
         assert ulp_wide.norm(q) == pytest.approx(abs(c), rel=1e-15, abs=math.ulp(0.0))
+
+
+@pytest.mark.parametrize("law,norms", [
+    (UniformBounded(0.0, 1.0), (0.5, 0.2**0.25)),
+    (UniformBounded(-0.3, -0.3), (0.3, 0.3)),
+    (Rademacher(-2.0), (2.0, 2.0)),
+], ids=["uniform", "point-mass", "rademacher"])
+def test_law_norms_check_q(law, norms):
+    """Every law's norm, like mz_constant, takes one rule for q: ValueError
+    unless q >= 1 (nan included), and the norm at q = 1 and q = 4."""
+    for q in (math.nan, 0.0, -1.0, 0.5):
+        with pytest.raises(ValueError, match="need q >= 1"):
+            law.norm(q)
+    assert (law.norm(1.0), law.norm(4.0)) == pytest.approx(norms, rel=1e-15)
 
 
 def test_mz_degenerate_constants():

@@ -10,7 +10,7 @@ Each mutant runs for at most ``TIMEOUT`` seconds; one that runs longer is
 reported as ``TIMEOUT``.  It exits 1 if any mutant was not killed.  It
 runs outside tier-1, like ``bit_digest.py``::
 
-    python tools/mutants.py            # every mutant, about 4.5 minutes on 2 cores
+    python tools/mutants.py            # every mutant, about 6.5 minutes on 2 cores
 """
 
 from __future__ import annotations
@@ -40,9 +40,11 @@ _EST, _GRID, _INTERP, _STATS, _TESTBED = (
 
 MUTANTS = [
     # the replication path
-    Mutant(_EST, "buf[: n // 2] += buf[(n + 1) // 2 : n]",
-           "buf[: n // 2] += buf[(n + 1) // 2 : n][::-1]",
+    Mutant(_EST, "buf[: n // 2] += src[(n + 1) // 2 : n]",
+           "buf[: n // 2] += src[(n + 1) // 2 : n][::-1]",
            "the one fold adds in its fixed pairwise order"),
+    Mutant(_EST, "src = x.reshape(-1, n).T", "src = x.reshape(-1, n).T[::-1]",
+           "the fold's first step adds the input's top half, not its own bottom half"),
     Mutant(_EST, "means[:, tile] + _rounded_sums(resid) / shape[2]",
            "means[:, tile] + _rounded_sums(resid) / (shape[2] + 1)",
            "SCV's and STRAT's cell term: unbiasedness and exactness"),
@@ -65,10 +67,10 @@ MUTANTS = [
            "a stack of several replications is read in one tile"),
     Mutant(_EST, "poly_dim(self.s, d) * self.m**d", "poly_dim(self.s, d) * self.m**d + 1",
            "the exact evaluation budget"),
-    Mutant(_EST, "fit = _fit(f, cfg, tile_map=tile_map) if shared else None",
-           "fit = _fit(f, cfg, tile_map=lambda fn, tiles:"
-           " tile_map(fn, tiles[:-1] if pool else tiles)) if shared else None",
-           "the pooled shared fit fills every node tile"),
+    Mutant(_EST, "for tile in _tiles(values.shape[1], len(values) * len(solver)):",
+           "for tile in _tiles(values.shape[1], len(values) * len(solver))"
+           "[: -1 if shifts is None else None]:",
+           "the shared fit fills every node tile"),
     Mutant(_INTERP, "return np.matmul(values, np.swapaxes(self.inverse, -1, -2), out=out)",
            "return np.matmul(values, self.inverse, out=out)",
            "the interpolant matches f at its nodes"),
@@ -84,6 +86,8 @@ MUTANTS = [
            "the bump's radius reads every coordinate"),
     # the statistics layer and the two inequalities
     Mutant(_STATS, "[rank - 1])", "[rank - 2])", "the delta-quantile rank"),
+    Mutant(_STATS, "if not q >= 1.0:", "if q < 1.0:",
+           "every norm and the moment bound's constant reject q < 1, nan included"),
     Mutant(_STATS, "np.abs(sample.errors) > threshold", "np.abs(sample.errors) >= threshold",
            "a tail fraction counts errors strictly above the threshold"),
     Mutant(_STATS, "return math.ldexp(3.0 / b.size", "return math.ldexp(1.0 / b.size",
